@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -21,105 +21,94 @@ from . import waxman as wx
 from .errors import ConfigError, NoBoundStateError, SolverError
 from .grid import Grid, SampledFunction, make_grid
 from .potentials import KINDS, PotentialSpec, sample_potential
-from .shooting import PARITIES, ShootingConfig, analytic_level, shooting_eigenvalue
-
-_DEFAULTS = {
-    "half_width": 12.0,
-    "n_points": 2401,
-    "sector": "full",
-    "tol": 1e-10,
-    "max_iter": 500,
-    "lam": 1.0,
-    "m": 18,
-    "parity": "even",
-    "method": "shooting",
-}
-
-_SOLVERS = ("waxman", "lanczos", "oracle")
-_METHODS = ("shooting", "analytic")
+from .shooting import (
+    ANALYTIC_KINDS,
+    PARITIES,
+    ShootingConfig,
+    analytic_level,
+    shooting_eigenvalue,
+)
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat experiment description; unset fields fall back to defaults."""
-
-    potential: str | None = None
-    well_half_width: float | None = None
-    table_values: tuple[float, ...] | None = None
-    half_width: float | None = None
-    n_points: int | None = None
-    solver: str | None = None
-    epsilon: float | None = None
-    epsilons: tuple[float, ...] | None = None
-    epsilon_tail: tuple[float, ...] | None = None
-    sector: str | None = None
-    x_ref: float | None = None
-    tol: float | None = None
-    max_iter: int | None = None
-    lam: float | None = None
-    m: int | None = None
-    parity: str | None = None
-    method: str | None = None
-    output: str | None = None
-
-    def get(self, name: str):
-        value = getattr(self, name)
-        return _DEFAULTS.get(name) if value is None else value
+def _float_list(raw: str) -> tuple[float, ...]:
+    """Parse a comma- or space-separated list of floats."""
+    parts = raw.replace(",", " ").split()
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(float(p) for p in parts)
 
 
-_KEY_TO_FIELD = {
-    "potential": "potential",
-    "well_half_width": "well_half_width",
-    "table_values": "table_values",
-    "half_width": "half_width",
-    "n_points": "n_points",
-    "solver": "solver",
-    "epsilon": "epsilon",
-    "epsilons": "epsilons",
-    "epsilon_tail": "epsilon_tail",
-    "sector": "sector",
-    "x_ref": "x_ref",
-    "tol": "tol",
-    "max_iter": "max_iter",
-    "lambda": "lam",
-    "m": "m",
-    "parity": "parity",
-    "method": "method",
-    "output": "output",
-}
+@dataclass(frozen=True)
+class _Key:
+    """One config key: how a file value or flag is parsed, and its default.
 
-_FLOAT_KEYS = {"well_half_width", "half_width", "epsilon", "x_ref", "tol", "lambda"}
-_INT_KEYS = {"n_points", "max_iter", "m"}
-_FLOAT_LIST_KEYS = {"table_values", "epsilons", "epsilon_tail"}
-_CHOICE_KEYS = {
-    "potential": KINDS,
-    "solver": _SOLVERS,
-    "sector": wx.SECTORS,
-    "parity": PARITIES,
-    "method": _METHODS,
-}
+    ``flag`` is the command-line spelling; keys without one are set only in
+    config files.
+    """
+
+    name: str
+    parse: Callable[[str], object]
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    flag: str | None = None
+
+
+# Table order is the order of the header every report starts with.
+_KEYS = (
+    _Key("potential", str, choices=KINDS, flag="--potential"),
+    _Key("well_half_width", float, flag="--well-half-width"),
+    _Key("table_values", _float_list),
+    _Key("half_width", float, 12.0, flag="--half-width"),
+    _Key("n_points", int, 2401, flag="--n-points"),
+    _Key("solver", str, choices=("waxman", "lanczos", "oracle")),
+    _Key("epsilon", float, flag="--epsilon"),
+    _Key("epsilons", _float_list, flag="--epsilons"),
+    _Key("epsilon_tail", _float_list, flag="--epsilon-tail"),
+    _Key("sector", str, "full", choices=wx.SECTORS, flag="--sector"),
+    _Key("x_ref", float, flag="--x-ref"),
+    _Key("tol", float, 1e-10, flag="--tol"),
+    _Key("max_iter", int, 500, flag="--max-iter"),
+    _Key("lambda", float, 1.0, flag="--lambda"),
+    _Key("m", int, 18, flag="-m"),
+    _Key("parity", str, "even", choices=PARITIES, flag="--parity"),
+    _Key("method", str, "shooting", choices=("shooting", "analytic"), flag="--method"),
+    _Key("output", str, flag="--output"),
+)
+_BY_NAME = {key.name: key for key in _KEYS}
 _REQUIRED_KEYS = ("potential", "solver")
 
 
-def _parse_value(key: str, raw: str, line_no: int):
+class ExperimentConfig:
+    """Flat experiment description, by config key.
+
+    Attribute access gives a key's value as set (None when unset); ``get``
+    falls back to the command's default, then to the key's own default.
+    """
+
+    def __init__(self, values: dict | None = None, defaults: dict | None = None):
+        self.values = dict(values or {})
+        self.defaults = {key.name: key.default for key in _KEYS} | dict(defaults or {})
+
+    def __getattr__(self, name: str):
+        if name not in _BY_NAME:
+            raise AttributeError(name)
+        return self.values.get(name)
+
+    def get(self, name: str):
+        return self.values.get(name, self.defaults[name])
+
+
+def _parse_value(key: _Key, raw: str, line_no: int):
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_LIST_KEYS:
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            if not parts:
-                raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+        value = key.parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"line {line_no}: malformed value for '{key}': {raw!r} ({exc})")
-    value = raw.strip()
-    choices = _CHOICE_KEYS.get(key)
-    if choices is not None and value not in choices:
         raise ConfigError(
-            f"line {line_no}: invalid value for '{key}': {value!r} "
-            f"(expected one of {', '.join(choices)})"
+            f"line {line_no}: malformed value for '{key.name}': {raw!r} ({exc})"
+        )
+    if key.choices is not None and value not in key.choices:
+        raise ConfigError(
+            f"line {line_no}: invalid value for '{key.name}': {value!r} "
+            f"(expected one of {', '.join(key.choices)})"
         )
     return value
 
@@ -130,32 +119,31 @@ def parse_config(text: str) -> ExperimentConfig:
     Unknown keys, malformed values, and missing required keys are rejected
     with the offending line number.
     """
-    cfg = ExperimentConfig()
-    seen: set[str] = set()
+    values = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"line {line_no}: unknown key '{key}'")
-        if key in seen:
-            raise ConfigError(f"line {line_no}: duplicate key '{key}'")
-        seen.add(key)
-        setattr(cfg, _KEY_TO_FIELD[key], _parse_value(key, raw.strip(), line_no))
-    missing = [k for k in _REQUIRED_KEYS if getattr(cfg, _KEY_TO_FIELD[k]) is None]
+        name, _, raw = line.partition("=")
+        name = name.strip()
+        if name not in _BY_NAME:
+            raise ConfigError(f"line {line_no}: unknown key '{name}'")
+        if name in values:
+            raise ConfigError(f"line {line_no}: duplicate key '{name}'")
+        values[name] = _parse_value(_BY_NAME[name], raw.strip(), line_no)
+    missing = [name for name in _REQUIRED_KEYS if name not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    return cfg
+    return ExperimentConfig(values)
 
 
-def _resolved_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    items = []
-    for key, field_name in _KEY_TO_FIELD.items():
-        value = cfg.get(field_name)
+def _print_header(cfg: ExperimentConfig, stream: IO[str]) -> None:
+    # The resolved configuration (defaults included) prefixes every report,
+    # so any output can be reproduced from its own header.
+    for key in _KEYS:
+        value = cfg.get(key.name)
         if value is None:
             continue
         if isinstance(value, tuple):
@@ -164,48 +152,25 @@ def _resolved_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
             rendered = f"{value:.17g}"
         else:
             rendered = str(value)
-        items.append((key, rendered))
-    return items
-
-
-def _print_header(cfg: ExperimentConfig, stream: IO[str]) -> None:
-    # The resolved configuration (defaults included) prefixes every report,
-    # so any output can be reproduced from its own header.
-    for key, rendered in _resolved_items(cfg):
-        stream.write(f"# {key}={rendered}\n")
-
-
-def _build_grid(cfg: ExperimentConfig) -> Grid:
-    try:
-        return make_grid(cfg.get("half_width"), cfg.get("n_points"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        stream.write(f"# {key.name}={rendered}\n")
 
 
 def _build_spec(cfg: ExperimentConfig) -> PotentialSpec:
     kind = cfg.get("potential")
-    if kind is None:
-        raise ConfigError("missing required keys: potential")
-    try:
-        if kind == "square_well":
-            if cfg.well_half_width is None:
-                raise ConfigError("square_well requires well_half_width")
-            return PotentialSpec.square_well(cfg.well_half_width)
-        if kind == "table":
-            if cfg.table_values is None:
-                raise ConfigError("table potential requires table_values")
-            return PotentialSpec.table(cfg.table_values)
-        return PotentialSpec(kind)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if kind == "square_well":
+        if cfg.well_half_width is None:
+            raise ConfigError("square_well requires well_half_width")
+        return PotentialSpec.square_well(cfg.well_half_width)
+    if kind == "table":
+        if cfg.table_values is None:
+            raise ConfigError("table potential requires table_values")
+        return PotentialSpec.table(cfg.table_values)
+    return PotentialSpec(kind)
 
 
 def _build_potential(cfg: ExperimentConfig) -> tuple[Grid, SampledFunction]:
-    grid = _build_grid(cfg)
-    try:
-        return grid, sample_potential(_build_spec(cfg), grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    grid = make_grid(cfg.get("half_width"), cfg.get("n_points"))
+    return grid, sample_potential(_build_spec(cfg), grid)
 
 
 def _waxman_overrides(cfg: ExperimentConfig) -> dict:
@@ -215,10 +180,10 @@ def _waxman_overrides(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _require(cfg: ExperimentConfig, field_name: str, key: str):
-    value = cfg.get(field_name)
+def _require(cfg: ExperimentConfig, name: str):
+    value = cfg.get(name)
     if value is None:
-        raise ConfigError(f"missing required key for this command: {key}")
+        raise ConfigError(f"missing required key for this command: {name}")
     return value
 
 
@@ -228,7 +193,7 @@ def _require(cfg: ExperimentConfig, field_name: str, key: str):
 
 def _cmd_solve_waxman(cfg: ExperimentConfig, stream: IO[str]) -> int:
     _, V = _build_potential(cfg)
-    epsilon = _require(cfg, "epsilon", "epsilon")
+    epsilon = _require(cfg, "epsilon")
     solve = wx.WaxmanConfig(
         epsilon=epsilon, sector=cfg.get("sector"), **_waxman_overrides(cfg)
     )
@@ -250,14 +215,11 @@ def _cmd_solve_waxman(cfg: ExperimentConfig, stream: IO[str]) -> int:
 
 def _cmd_sweep(cfg: ExperimentConfig, stream: IO[str]) -> int:
     _, V = _build_potential(cfg)
-    epsilons = _require(cfg, "epsilons", "epsilons")
-    output = _require(cfg, "output", "output")
-    try:
-        points = wx.sweep_results(
-            epsilons, V, sector=cfg.get("sector"), **_waxman_overrides(cfg)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    epsilons = _require(cfg, "epsilons")
+    output = _require(cfg, "output")
+    points = wx.sweep_results(
+        epsilons, V, sector=cfg.get("sector"), **_waxman_overrides(cfg)
+    )
     with open(output, "w", newline="") as fh:
         wx.write_sweep_csv(points, fh)
     _print_header(cfg, stream)
@@ -272,14 +234,11 @@ def _cmd_sweep(cfg: ExperimentConfig, stream: IO[str]) -> int:
 
 def _cmd_invert(cfg: ExperimentConfig, stream: IO[str]) -> int:
     _, V = _build_potential(cfg)
-    epsilons = _require(cfg, "epsilons", "epsilons")
-    lam_target = _require(cfg, "lam", "lambda")
-    try:
-        curve = wx.sweep_epsilon(
-            epsilons, V, sector=cfg.get("sector"), **_waxman_overrides(cfg)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    epsilons = _require(cfg, "epsilons")
+    lam_target = _require(cfg, "lambda")
+    curve = wx.sweep_epsilon(
+        epsilons, V, sector=cfg.get("sector"), **_waxman_overrides(cfg)
+    )
     epsilon = wx.invert_curve(curve, lam_target)
     _print_header(cfg, stream)
     stream.write(f"lambda={lam_target:.17g}\n")
@@ -288,17 +247,11 @@ def _cmd_invert(cfg: ExperimentConfig, stream: IO[str]) -> int:
     return 0
 
 
-_DEFAULT_TAIL = tuple(0.01 * 0.5**k for k in range(10))
-
-
 def _cmd_threshold(cfg: ExperimentConfig, stream: IO[str]) -> int:
     _, V = _build_potential(cfg)
-    tail = cfg.epsilon_tail if cfg.epsilon_tail is not None else _DEFAULT_TAIL
-    sector = cfg.sector if cfg.sector is not None else "odd"
-    try:
-        lam_star = wx.threshold_lambda(V, sector, tail, **_waxman_overrides(cfg))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    lam_star = wx.threshold_lambda(
+        V, cfg.get("sector"), cfg.get("epsilon_tail"), **_waxman_overrides(cfg)
+    )
     _print_header(cfg, stream)
     stream.write(f"threshold_lambda={lam_star:.17g}\n")
     return 0
@@ -306,7 +259,7 @@ def _cmd_threshold(cfg: ExperimentConfig, stream: IO[str]) -> int:
 
 def _cmd_solve_lanczos(cfg: ExperimentConfig, stream: IO[str]) -> int:
     grid, V = _build_potential(cfg)
-    H = lz.Hamiltonian(V, cfg.get("lam"))
+    H = lz.Hamiltonian(V, cfg.get("lambda"))
     phi1 = lz.start_vector(grid)
     run = lz.lanczos_run(H, phi1, cfg.get("m"))
     history = lz.ritz_history(run, H)
@@ -327,10 +280,11 @@ def _cmd_solve_lanczos(cfg: ExperimentConfig, stream: IO[str]) -> int:
 
 def _cmd_oracle(cfg: ExperimentConfig, stream: IO[str]) -> int:
     spec = _build_spec(cfg)
-    lam = cfg.get("lam")
+    lam = cfg.get("lambda")
     parity = cfg.get("parity")
-    method = cfg.get("method")
-    if method == "analytic":
+    if cfg.get("method") == "analytic":
+        if spec.kind not in ANALYTIC_KINDS:
+            raise ConfigError(f"no closed-form levels for potential kind {spec.kind!r}")
         index = 0 if parity == "even" else 1
         try:
             epsilon = analytic_level(spec, lam, index)
@@ -364,7 +318,7 @@ DELTA_RATIO_MIN = 10.0
 
 FULL_SWEEP_EPSILONS = tuple(np.linspace(0.1, 1.0, 37))
 ODD_SWEEP_EPSILONS = (1e-4, 1e-3, 1e-2) + tuple(np.linspace(0.05, 1.0, 20))
-THRESHOLD_TAIL = _DEFAULT_TAIL
+THRESHOLD_TAIL = tuple(0.01 * 0.5**k for k in range(10))
 RESIDUAL_SWEEP_EPSILONS = tuple(np.linspace(0.1, 1.0, 20))
 
 # The Krylov comparison runs on a coarser mesh than the quadrature solvers:
@@ -557,12 +511,29 @@ def run_reproduce_paper(
     return all_passed
 
 
-def _cmd_reproduce_paper(output_dir: str, stream: IO[str]) -> int:
-    return 0 if run_reproduce_paper(output_dir, stream) else 2
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A config-driven subcommand: the solver it names and its own defaults."""
+
+    solver: str
+    run: Callable[[ExperimentConfig, IO[str]], int]
+    defaults: dict = field(default_factory=dict)
+
+
+_COMMANDS = {
+    "solve-waxman": _Command("waxman", _cmd_solve_waxman),
+    "sweep": _Command("waxman", _cmd_sweep),
+    "invert": _Command("waxman", _cmd_invert),
+    "threshold": _Command(
+        "waxman", _cmd_threshold, {"sector": "odd", "epsilon_tail": THRESHOLD_TAIL}
+    ),
+    "solve-lanczos": _Command("lanczos", _cmd_solve_lanczos),
+    "oracle": _Command("oracle", _cmd_oracle),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -573,94 +544,52 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="path to a key=value config file")
-    sub.add_argument("--potential", choices=KINDS)
-    sub.add_argument("--well-half-width", type=float, dest="well_half_width")
-    sub.add_argument("--half-width", type=float, dest="half_width")
-    sub.add_argument("--n-points", type=int, dest="n_points")
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--epsilons", help="comma-separated epsilon list")
-    sub.add_argument("--epsilon-tail", dest="epsilon_tail", help="comma-separated list")
-    sub.add_argument("--sector", choices=wx.SECTORS)
-    sub.add_argument("--x-ref", type=float, dest="x_ref")
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--max-iter", type=int, dest="max_iter")
-    sub.add_argument("--lambda", type=float, dest="lam")
-    sub.add_argument("-m", type=int, dest="m")
-    sub.add_argument("--parity", choices=PARITIES)
-    sub.add_argument("--method", choices=_METHODS)
-    sub.add_argument("--output")
-
-
-def _merge_config(args: argparse.Namespace, required_solver: str) -> ExperimentConfig:
+def _merge_config(args: argparse.Namespace, command: _Command) -> ExperimentConfig:
+    values = {}
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        cfg = parse_config(text)
-    else:
-        cfg = ExperimentConfig()
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name in ("epsilons", "epsilon_tail", "table_values") and isinstance(
-            value, str
-        ):
-            value = _parse_value(f.name, value, 0)
-        setattr(cfg, f.name, value)
-    cfg.solver = required_solver
-    if cfg.potential is None:
+        values = parse_config(text).values
+    for key in _KEYS:
+        value = getattr(args, key.name, None)
+        if value is not None:
+            values[key.name] = value
+    values["solver"] = command.solver
+    if "potential" not in values:
         raise ConfigError("missing required keys: potential")
-    return cfg
+    return ExperimentConfig(values, command.defaults)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _Parser(prog="boundstates", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "solve-waxman",
-        "sweep",
-        "invert",
-        "threshold",
-        "solve-lanczos",
-        "oracle",
-    ):
-        _add_common(subs.add_parser(name))
+    for name in _COMMANDS:
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", help="path to a key=value config file")
+        for key in _KEYS:
+            if key.flag is not None:
+                sub.add_argument(
+                    key.flag,
+                    dest=key.name,
+                    type=key.parse,
+                    choices=key.choices,
+                    help="comma-separated list" if key.parse is _float_list else None,
+                )
     repro = subs.add_parser("reproduce-paper")
     repro.add_argument("--output-dir", default=".", dest="output_dir")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "reproduce-paper":
-            return _cmd_reproduce_paper(args.output_dir, sys.stdout)
-        solver = {
-            "solve-waxman": "waxman",
-            "sweep": "waxman",
-            "invert": "waxman",
-            "threshold": "waxman",
-            "solve-lanczos": "lanczos",
-            "oracle": "oracle",
-        }[args.command]
-        cfg = _merge_config(args, solver)
-        dispatch = {
-            "solve-waxman": _cmd_solve_waxman,
-            "sweep": _cmd_sweep,
-            "invert": _cmd_invert,
-            "threshold": _cmd_threshold,
-            "solve-lanczos": _cmd_solve_lanczos,
-            "oracle": _cmd_oracle,
-        }
-        return dispatch[args.command](cfg, sys.stdout)
-    except ConfigError as exc:
+            return 0 if run_reproduce_paper(args.output_dir, sys.stdout) else 2
+        command = _COMMANDS[args.command]
+        return command.run(_merge_config(args, command), sys.stdout)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NoBoundStateError, SolverError) as exc:
+    except SolverError as exc:  # NoBoundStateError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

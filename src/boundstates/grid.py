@@ -28,11 +28,6 @@ class Grid:
         """Index of the node at x = 0."""
         return (self.n_points - 1) // 2
 
-    def compatible(self, other: "Grid") -> bool:
-        return self is other or (
-            self.n_points == other.n_points and self.half_width == other.half_width
-        )
-
     def node_index(self, x: float) -> int:
         """Index of the node at coordinate ``x``; raises if x is off-grid."""
         i = int(round((x + self.half_width) / self.spacing))
@@ -49,6 +44,15 @@ class Grid:
         w = np.full(self.n_points, self.spacing)
         w[0] = w[-1] = 0.5 * self.spacing
         return w
+
+
+def check_same_grid(grid: Grid, other: Grid, message: str) -> Grid:
+    """Return ``other`` if it is the same mesh as ``grid``; raise otherwise."""
+    if grid is not other and (
+        grid.n_points != other.n_points or grid.half_width != other.half_width
+    ):
+        raise GridMismatchError(message)
+    return other
 
 
 def make_grid(half_width: float, n_points: int) -> Grid:
@@ -106,7 +110,6 @@ def integrate(f: SampledFunction) -> float:
 
 def inner_product(f: SampledFunction, g: SampledFunction) -> float:
     """Trapezoid approximation of the L2 pairing of ``f`` and ``g``."""
-    if not f.grid.compatible(g.grid):
-        raise GridMismatchError("inner_product requires both functions on one grid")
+    check_same_grid(f.grid, g.grid, "inner_product requires both functions on one grid")
     p = f.values * g.values
     return float(f.grid.spacing * (p.sum() - 0.5 * (p[0] + p[-1])))

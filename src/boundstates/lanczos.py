@@ -17,7 +17,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grid import Grid, SampledFunction
+from .grid import Grid, SampledFunction, check_same_grid
 
 # Classification defaults: delta below tau_zero and falling reads as a
 # genuine bound pair, delta above tau_spur and not falling as spurious.
@@ -66,11 +66,8 @@ def _apply_values(H: Hamiltonian, v: np.ndarray) -> np.ndarray:
 
 def hamiltonian_apply(H: Hamiltonian, u: SampledFunction) -> SampledFunction:
     """Apply the operator: central second difference (zero outside) - lam*V*u."""
-    if not H.grid.compatible(u.grid):
-        from .errors import GridMismatchError
-
-        raise GridMismatchError("state must live on the Hamiltonian's grid")
-    return SampledFunction(u.grid, _apply_values(H, u.values))
+    grid = check_same_grid(H.grid, u.grid, "state must live on the Hamiltonian's grid")
+    return SampledFunction(grid, _apply_values(H, u.values))
 
 
 def start_vector(grid: Grid) -> SampledFunction:
@@ -102,10 +99,7 @@ def lanczos_run(
     if m < 1:
         raise ValueError(f"iteration count m must be >= 1, got {m!r}")
     grid = H.grid
-    if not grid.compatible(phi1.grid):
-        from .errors import GridMismatchError
-
-        raise GridMismatchError("start vector must live on the Hamiltonian's grid")
+    check_same_grid(grid, phi1.grid, "start vector must live on the Hamiltonian's grid")
     if abs(_norm(grid, phi1.values) - 1.0) > 1e-8:
         raise ValueError("start vector must have unit norm")
 

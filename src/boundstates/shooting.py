@@ -12,11 +12,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import NoBoundStateError
 from .potentials import PotentialSpec, peak_value, potential_pieces
 
 PARITIES = ("even", "odd")
+# Potential kinds with closed-form (or transcendental-root) levels.
+ANALYTIC_KINDS = ("poschl_teller", "square_well")
 
 _RESCALE_LIMIT = 1e100
 
@@ -125,9 +128,9 @@ def _decay_defect(cfg: ShootingConfig, pieces, epsilon: float) -> float:
 
 
 def shooting_eigenvalue(cfg: ShootingConfig, potential) -> float:
-    """Binding energy of the lowest state of the given parity, by bisection.
+    """Binding energy of the lowest state of the given parity, by Brent's method.
 
-    Scans the bracket for sign changes of the decay defect and bisects the
+    Scans the bracket for sign changes of the decay defect and refines the
     one at the largest binding energy (the deepest level of the parity).
     """
     pieces = _pieces(cfg, potential)
@@ -156,32 +159,9 @@ def shooting_eigenvalue(cfg: ShootingConfig, potential) -> float:
             f"parity={cfg.parity}"
         )
 
-    a, b = bracket
-    fa = _decay_defect(cfg, pieces, a)
-    while b - a > cfg.tol:
-        mid = 0.5 * (a + b)
-        fm = _decay_defect(cfg, pieces, mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
-def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    fa = f(a)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    return float(
+        brentq(lambda e: _decay_defect(cfg, pieces, e), *bracket, xtol=cfg.tol)
+    )
 
 
 def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
@@ -239,7 +219,7 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
                 theta = float(thetas[i])
                 break
             if vals[i] * vals[i + 1] < 0:
-                theta = _bisect(f, float(thetas[i]), float(thetas[i + 1]), 1e-13)
+                theta = brentq(f, float(thetas[i]), float(thetas[i + 1]), xtol=1e-13)
                 break
         else:
             raise ValueError(

@@ -21,12 +21,13 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import NoBoundStateError, SolverError
-from .grid import Grid, SampledFunction
+from .grid import Grid, SampledFunction, check_same_grid
 
 SECTORS = ("full", "odd")
 
 # Below this magnitude the normalization integral is treated as zero.
 _DENOMINATOR_FLOOR = 1e-14
+_GRID_MISMATCH = "potential and state must share a grid"
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ class _KernelScan:
 
     def __init__(self, grid: Grid, epsilon: float, sector: str):
         self.grid = grid
+        self.epsilon = epsilon
         self.sector = sector
         self.s = math.sqrt(epsilon)
         if sector == "full":
@@ -115,19 +117,40 @@ class _KernelScan:
         return out
 
 
-def _check_same_grid(V: SampledFunction, u: SampledFunction) -> Grid:
-    if not V.grid.compatible(u.grid):
-        from .errors import GridMismatchError
+def _normalized_step(
+    scan: _KernelScan, Vu: np.ndarray, idx: int
+) -> tuple[np.ndarray, float]:
+    """Kernel image of V*u divided by its value at the reference node.
 
-        raise GridMismatchError("potential and state must share a grid")
-    return u.grid
+    Returns the normalized image and the divisor.  A divisor below 1e-14 of
+    the image's scale (taken as at least 1) means the map vanishes at the
+    reference node: no admissible coupling exists at this energy, or u has
+    no component along the sector's dominant mode.
+    """
+    w = scan.apply(Vu)
+    denom = w[idx]
+    if abs(denom) < _DENOMINATOR_FLOOR * max(float(np.max(np.abs(w))), 1.0):
+        raise NoBoundStateError(
+            f"no admissible coupling at epsilon={scan.epsilon:g} "
+            f"({scan.sector} sector): kernel integral {denom:.3e} at "
+            f"x_ref={scan.grid.points[idx]:g}"
+        )
+    return w / denom, denom
+
+
+def _kernel_step(
+    kernel: GreensKernel, V: SampledFunction, u: SampledFunction, x_ref: float
+) -> tuple[np.ndarray, float]:
+    grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
+    scan = _KernelScan(grid, kernel.epsilon, kernel.sector)
+    return _normalized_step(scan, V.values * u.values, grid.node_index(x_ref))
 
 
 def apply_kernel(
     kernel: GreensKernel, V: SampledFunction, u: SampledFunction
 ) -> SampledFunction:
     """Quadrature of the kernel integral of V*u at every grid node."""
-    grid = _check_same_grid(V, u)
+    grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
     scan = _KernelScan(grid, kernel.epsilon, kernel.sector)
     return SampledFunction(grid, scan.apply(V.values * u.values))
 
@@ -138,35 +161,17 @@ def lambda_from(
     """Coupling strength read off a state normalized to u(x_ref) = 1.
 
     Returns the reciprocal of the kernel integral evaluated at the reference
-    node.  A denominator below 1e-14 in magnitude means no admissible
-    coupling exists at this energy (used by the threshold search).
+    node; raises NoBoundStateError where that integral vanishes (no
+    admissible coupling at this energy).
     """
-    grid = _check_same_grid(V, u)
-    idx = grid.node_index(x_ref)
-    denom = apply_kernel(kernel, V, u).values[idx]
-    if abs(denom) < _DENOMINATOR_FLOOR:
-        raise NoBoundStateError(
-            f"no admissible coupling at epsilon={kernel.epsilon:g}: "
-            f"kernel integral {denom:.3e} at x_ref={x_ref:g}"
-        )
-    return 1.0 / denom
+    return 1.0 / _kernel_step(kernel, V, u, x_ref)[1]
 
 
 def waxman_step(
     kernel: GreensKernel, V: SampledFunction, u_n: SampledFunction, x_ref: float
 ) -> SampledFunction:
     """One normalized iteration of the integral map; output is 1 at x_ref."""
-    grid = _check_same_grid(V, u_n)
-    idx = grid.node_index(x_ref)
-    w = apply_kernel(kernel, V, u_n).values
-    denom = w[idx]
-    if abs(denom) < _DENOMINATOR_FLOOR * max(float(np.max(np.abs(w))), 1.0):
-        raise SolverError(
-            f"iteration map vanishes at x_ref={x_ref:g}: start vector has no "
-            "component along the dominant mode in this sector, or epsilon is "
-            "outside the admissible range"
-        )
-    return SampledFunction(grid, w / denom)
+    return SampledFunction(u_n.grid, _kernel_step(kernel, V, u_n, x_ref)[0])
 
 
 @dataclass
@@ -181,14 +186,11 @@ class WaxmanConfig:
     start: SampledFunction | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        GreensKernel(self.epsilon, self.sector)  # validates epsilon and sector
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.sector not in SECTORS:
-            raise ValueError(f"sector must be one of {SECTORS}, got {self.sector!r}")
 
 
 @dataclass
@@ -232,7 +234,7 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
         raise ValueError("odd sector requires x_ref != 0 (the state vanishes there)")
 
     if cfg.start is not None:
-        _check_same_grid(V, cfg.start)
+        check_same_grid(grid, cfg.start.grid, _GRID_MISMATCH)
         u = cfg.start.values.copy()
     else:
         u = _default_start(grid, cfg.sector)
@@ -247,26 +249,16 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        w = scan.apply(Vv * u)
-        denom = w[idx]
-        if abs(denom) < _DENOMINATOR_FLOOR * max(float(np.max(np.abs(w))), 1.0):
-            raise SolverError(
-                f"iteration map vanished at x_ref={x_ref:g} "
-                f"(epsilon={cfg.epsilon:g}, sector={cfg.sector})"
-            )
-        u_next = w / denom
+        u_next, _ = _normalized_step(scan, Vv * u, idx)
         residual = float(np.max(np.abs(u_next - u)))
         u = u_next
         if residual <= cfg.tol:
             converged = True
             break
 
-    result_u = SampledFunction(grid, u)
-    kernel = GreensKernel(cfg.epsilon, cfg.sector)
-    lam = lambda_from(kernel, V, result_u, x_ref)
     return WaxmanResult(
-        u=result_u,
-        lam=lam,
+        u=SampledFunction(grid, u),
+        lam=1.0 / _normalized_step(scan, Vv * u, idx)[1],
         epsilon=cfg.epsilon,
         iterations=iterations,
         residual=residual,
@@ -450,7 +442,7 @@ def bound_state_residual(
     the iterate carries genuine (small but nonzero) values at the domain
     edge that a zero-extension closure would misread as error.
     """
-    grid = _check_same_grid(V, u)
+    grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
     h = grid.spacing
     v = u.values
     lap = (2.0 * v[1:-1] - v[:-2] - v[2:]) / (h * h)

@@ -39,7 +39,7 @@ from boundstates import (
 )
 from boundstates.cli import LANCZOS_N_POINTS
 from _jacobi import jacobi_eigenvalues
-from _threshold import gaussian_odd_threshold
+from _threshold import gaussian_odd_threshold, square_well_ground_level
 
 REPORTED_GROUND_EPS = 0.479203
 REPORTED_LANCZOS_GROUND = -0.475917
@@ -50,7 +50,8 @@ TOL_ORACLE = 5e-4
 TOL_THRESHOLD = 5e-3
 TOL_LANCZOS = 5e-3
 
-SQUARE_WELL_EPS_LAM1 = 0.45375316586032825
+# Square-well ground level at lam = 1 by adaptive ODE integration.
+SQUARE_WELL_EPS_LAM1 = square_well_ground_level(1.0)
 PI2_OVER_4 = math.pi**2 / 4.0
 
 

@@ -1,9 +1,12 @@
 """Config parsing, subcommand behavior, and the exit-code contract."""
 
+import re
+
 import pytest
 
 from boundstates import ConfigError
 from boundstates.cli import main, parse_config
+from _threshold import gaussian_odd_threshold
 
 
 class TestParseConfig:
@@ -173,7 +176,7 @@ class TestSubcommands:
         lam_star = float(
             next(l for l in out.splitlines() if l.startswith("threshold_lambda=")).split("=")[1]
         )
-        assert lam_star == pytest.approx(1.342, abs=5e-3)
+        assert lam_star == pytest.approx(gaussian_odd_threshold(), abs=5e-3)
 
     def test_solve_lanczos(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -215,3 +218,93 @@ class TestExitCodes:
     def test_missing_required_value_is_1(self, capsys):
         # sweep without an epsilon list is a usage problem, not numerical
         assert main(["sweep", "--potential", "gaussian", "--output", "x.csv"]) == 1
+
+    def test_analytic_oracle_without_closed_form_is_1(self, capsys):
+        code = main(["oracle", "--potential", "gaussian", "--method", "analytic"])
+        assert code == 1
+        assert "no closed-form levels" in capsys.readouterr().err
+
+    def test_analytic_oracle_missing_level_is_2(self, capsys):
+        code = main(
+            [
+                "oracle",
+                "--potential",
+                "poschl_teller",
+                "--lambda",
+                "2",
+                "--parity",
+                "odd",
+                "--method",
+                "analytic",
+            ]
+        )
+        assert code == 2
+        assert "has no level 1" in capsys.readouterr().err
+
+
+# One cheap successful run per subcommand; "{tmp}" is the test's directory.
+HEADER_RUNS = {
+    "solve-waxman": "--potential poschl_teller --epsilon 1.0 --n-points 601",
+    "sweep": "--potential gaussian --epsilons 0.3,0.5 --n-points 601 "
+    "--output {tmp}/sweep.csv",
+    "invert": "--potential poschl_teller --epsilons 0.6,0.8,1.0,1.2,1.4 "
+    "--n-points 1201 --lambda 2",
+    "threshold": "--potential gaussian --n-points 601",
+    "solve-lanczos": "--potential gaussian --n-points 161 --output {tmp}/trace.csv",
+    "oracle": "--potential poschl_teller --lambda 2 --method analytic",
+}
+
+
+@pytest.mark.parametrize("command", list(HEADER_RUNS))
+def test_header_reproduces_the_run(command, capsys, tmp_path):
+    # Every report starts with its resolved config; fed back as a config
+    # file, that header must reproduce the report byte for byte.
+    argv = HEADER_RUNS[command].format(tmp=tmp_path).split()
+    code = main([command, *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    header = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+    cfgfile = tmp_path / "header.cfg"
+    cfgfile.write_text("\n".join(header) + "\n")
+    assert main([command, "--config", str(cfgfile)]) == code
+    assert capsys.readouterr().out == out
+
+
+CONFIG_FLAGS = {
+    "-h",
+    "--help",
+    "--config",
+    "--potential",
+    "--well-half-width",
+    "--half-width",
+    "--n-points",
+    "--epsilon",
+    "--epsilons",
+    "--epsilon-tail",
+    "--sector",
+    "--x-ref",
+    "--tol",
+    "--max-iter",
+    "--lambda",
+    "-m",
+    "--parity",
+    "--method",
+    "--output",
+}
+FLAGS = {name: CONFIG_FLAGS for name in HEADER_RUNS}
+FLAGS["reproduce-paper"] = {"-h", "--help", "--output-dir"}
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_flag_set_is_pinned(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", options)) == FLAGS[command]
+
+
+def test_subcommand_set_is_pinned(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    choices = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+    assert choices.split(",") == [*HEADER_RUNS, "reproduce-paper"]

@@ -12,12 +12,20 @@ from boundstates import (
     shoot_mismatch,
     shooting_eigenvalue,
 )
-from _threshold import odd_threshold, sech2_well, square_well
+from _threshold import (
+    even_ground_level,
+    gaussian_ground_level,
+    odd_threshold,
+    sech2_well,
+    square_well,
+    square_well_ground_level,
+)
 
-# mpmath cross-checks (30 digits) frozen for the assertions below.
-SQUARE_WELL_EPS_LAM1 = 0.45375316586032825
-SQUARE_WELL_EPS_LAM3 = 2.0518006510275195
-GAUSSIAN_EPS_LAM1 = 0.47738997738280750
+# Ground levels from the adaptive-ODE oracle in tests/_threshold.py, which
+# shares no code with boundstates (checked against sech^2 levels below).
+SQUARE_WELL_EPS_LAM1 = square_well_ground_level(1.0)
+SQUARE_WELL_EPS_LAM3 = square_well_ground_level(3.0)
+GAUSSIAN_EPS_LAM1 = gaussian_ground_level(1.0)
 PI2_OVER_4 = math.pi**2 / 4.0
 
 REPORTED_GROUND_EPS = 0.479203
@@ -27,7 +35,7 @@ class TestShootMismatch:
     def test_vanishes_at_known_level(self):
         # Outward integration seeds the growing mode at roundoff, amplified
         # by exp(2 sqrt(eps) L), so the mismatch at an exact level is only
-        # resolvable on a moderate domain (the eigenvalue itself bisects on
+        # resolvable on a moderate domain (the eigenvalue itself root-finds on
         # the defect numerator and does not suffer from this).
         cfg = ShootingConfig(lam=2.0, parity="even", half_width=8.0, step=1e-3)
         m = shoot_mismatch(cfg, PotentialSpec.poschl_teller(), 1.0)
@@ -144,6 +152,16 @@ class TestSelfConsistency:
         assert shooting_eigenvalue(cfg, spec) == pytest.approx(
             analytic_level(spec, lam, index), abs=1e-6
         )
+
+
+class TestGroundLevelOracle:
+    """tests/_threshold.py against exact sech^2 ground levels before its
+    square-well and Gaussian levels are trusted as references."""
+
+    @pytest.mark.parametrize("lam,eps", [(2.0, 1.0), (6.0, 4.0)])
+    def test_sech2(self, lam, eps):
+        # lam sech^2 x with lam = s(s+1) has its ground level at s^2
+        assert even_ground_level(sech2_well, lam) == pytest.approx(eps, abs=1e-10)
 
 
 class TestZeroEnergyThresholdOracle:

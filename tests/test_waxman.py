@@ -31,13 +31,17 @@ from boundstates import (
     waxman_step,
     write_sweep_csv,
 )
-from _threshold import gaussian_odd_threshold
+from _threshold import (
+    gaussian_ground_level,
+    gaussian_odd_threshold,
+    square_well_ground_level,
+)
 
-# Independently computed levels (mpmath root-finding; see also the shooting
-# oracle tests).
-SQUARE_WELL_EPS_LAM1 = 0.45375316586032825
+# Ground levels by adaptive ODE integration (tests/_threshold.py, checked
+# against exact sech^2 levels in the oracle tests).
+SQUARE_WELL_EPS_LAM1 = square_well_ground_level(1.0)
 SQUARE_WELL_ODD_THRESHOLD = 2.4674011002723397  # pi^2 / 4
-GAUSSIAN_EPS_LAM1 = 0.47738997738280750
+GAUSSIAN_EPS_LAM1 = gaussian_ground_level(1.0)
 # Zero-energy odd threshold of exp(-x^2/2) by adaptive ODE integration.
 GAUSSIAN_ODD_THRESHOLD = gaussian_odd_threshold()
 
