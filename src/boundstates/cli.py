@@ -286,10 +286,7 @@ def _cmd_oracle(cfg: ExperimentConfig, stream: IO[str]) -> int:
         if spec.kind not in ANALYTIC_KINDS:
             raise ConfigError(f"no closed-form levels for potential kind {spec.kind!r}")
         index = 0 if parity == "even" else 1
-        try:
-            epsilon = analytic_level(spec, lam, index)
-        except ValueError as exc:
-            raise NoBoundStateError(str(exc))
+        epsilon = analytic_level(spec, lam, index)
     else:
         shoot = ShootingConfig(
             lam=lam, parity=parity, half_width=cfg.get("half_width")

@@ -1,5 +1,9 @@
 """Independent ground-truth eigensolvers: outward shooting and closed forms.
 
+Shooting integrates the linear ODE u'' = (eps - lam V) u outward with RK4
+as a pairwise product of renormalized 2x2 step propagators, with V sampled
+once per solve.
+
 These deliberately share no machinery with the kernel or Lanczos solvers
 (different discretization, different algorithm family), so agreement
 between routes is evidence rather than tautology.
@@ -9,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -20,8 +23,6 @@ from .potentials import PotentialSpec, peak_value, potential_pieces
 PARITIES = ("even", "odd")
 # Potential kinds with closed-form (or transcendental-root) levels.
 ANALYTIC_KINDS = ("poschl_teller", "square_well")
-
-_RESCALE_LIMIT = 1e100
 
 
 @dataclass
@@ -49,54 +50,63 @@ class ShootingConfig:
                 raise ValueError(f"bracket must satisfy 0 < lo < hi, got {self.bracket!r}")
 
 
-def _pieces(cfg: ShootingConfig, potential) -> list[tuple[float, float, Callable]]:
+def _sample(cfg: ShootingConfig, potential) -> tuple[np.ndarray, np.ndarray]:
+    """Step widths and V at x, x + h/2 and x + h of every RK4 step on [0, L].
+
+    Each smooth piece gets a fixed step (splitting at jumps keeps the full
+    order); V is called once per sample point and once per solve.
+    """
     if isinstance(potential, PotentialSpec):
-        return potential_pieces(potential, cfg.half_width)
-    if callable(potential):
-        return [(0.0, cfg.half_width, potential)]
-    raise TypeError("potential must be a PotentialSpec or a callable V(x)")
+        pieces = potential_pieces(potential, cfg.half_width)
+    elif callable(potential):
+        pieces = [(0.0, cfg.half_width, potential)]
+    else:
+        raise TypeError("potential must be a PotentialSpec or a callable V(x)")
+    widths, values = [], []
+    for lo, hi, f in pieces:
+        nsteps = math.ceil((hi - lo) / cfg.step)
+        v = np.array([f(float(x)) for x in np.linspace(lo, hi, 2 * nsteps + 1)])
+        widths.append(np.full(nsteps, (hi - lo) / nsteps))
+        values.append(np.stack([v[:-1:2], v[1::2], v[2::2]]))
+    return np.concatenate(widths), np.concatenate(values, axis=1)
 
 
 def _terminal_state(
-    cfg: ShootingConfig, pieces, epsilon: float, initial_scale: float = 1.0
+    cfg: ShootingConfig, samples, epsilon: float, initial_scale: float = 1.0
 ) -> tuple[float, float]:
     """Integrate u'' = (eps - lam V) u outward from x = 0 to the boundary.
 
-    Classic fourth-order Runge-Kutta with a fixed step per smooth piece;
-    splitting at potential jumps preserves the full order.  The state is
-    rescaled whenever it overflows the renormalization limit, which leaves
-    every scale-invariant functional of (u, u') unchanged.
+    One classic fourth-order Runge-Kutta step of the linear ODE is a 2x2
+    matrix whose columns are the step applied to the unit states.  The
+    terminal state is the ordered product of the step matrices, reduced
+    pairwise.  Each product at each level is divided by the power of two
+    that brings its largest entry into [1/2, 1): exact, never overflowing,
+    and neutral to every sign and scale-invariant functional of (u, u').
     """
-    if cfg.parity == "even":
-        u, up = initial_scale, 0.0
-    else:
-        u, up = 0.0, initial_scale
-    lam = cfg.lam
-    for lo, hi, f in pieces:
-        span = hi - lo
-        if span <= 0:
-            continue
-        nsteps = max(1, math.ceil(span / cfg.step))
-        h = span / nsteps
-        for i in range(nsteps):
-            x = lo + i * h
-            qa = epsilon - lam * f(x)
-            qm = epsilon - lam * f(x + 0.5 * h)
-            qb = epsilon - lam * f(x + h)
-            k1u = up
-            k1p = qa * u
-            k2u = up + 0.5 * h * k1p
-            k2p = qm * (u + 0.5 * h * k1u)
-            k3u = up + 0.5 * h * k2p
-            k3p = qm * (u + 0.5 * h * k2u)
-            k4u = up + h * k3p
-            k4p = qb * (u + h * k3u)
-            u += h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            up += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            if abs(u) > _RESCALE_LIMIT or abs(up) > _RESCALE_LIMIT:
-                u *= 1e-100
-                up *= 1e-100
-    return u, up
+    h, v = samples
+    qa, qm, qb = epsilon - cfg.lam * v
+    # Both unit states at once, indexed by column: (u, u') = (1, 0) and (0, 1).
+    u, up = np.eye(2)[:, :, None]
+    k1u = up
+    k1p = qa * u
+    k2u = up + 0.5 * h * k1p
+    k2p = qm * (u + 0.5 * h * k1u)
+    k3u = up + 0.5 * h * k2p
+    k3p = qm * (u + 0.5 * h * k2u)
+    k4u = up + h * k3p
+    k4p = qb * (u + h * k3u)
+    u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    up = up + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    m = np.stack([u, up])  # m[row, column, step]; rows are u and u'
+    while m.shape[-1] > 1:
+        later, earlier = m[..., 1::2], m[..., :-1:2]
+        prod = later[:, :1] * earlier[0] + later[:, 1:] * earlier[1]
+        if m.shape[-1] % 2:
+            prod = np.concatenate([prod, m[..., -1:]], axis=-1)
+        scale = np.abs(prod).max(axis=(0, 1))
+        m = np.ldexp(prod, -np.frexp(scale)[1])
+    u, up = initial_scale * m[:, 0 if cfg.parity == "even" else 1, 0]
+    return float(u), float(up)
 
 
 def shoot_mismatch(
@@ -112,28 +122,30 @@ def shoot_mismatch(
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if initial_scale == 0.0:
         raise ValueError("initial_scale must be nonzero")
-    u, up = _terminal_state(cfg, _pieces(cfg, potential), epsilon, initial_scale)
+    u, up = _terminal_state(cfg, _sample(cfg, potential), epsilon, initial_scale)
     if u == 0.0:
         return math.copysign(math.inf, up)
     return up / u + math.sqrt(epsilon)
 
 
-def _decay_defect(cfg: ShootingConfig, pieces, epsilon: float) -> float:
+def _decay_defect(cfg: ShootingConfig, samples, epsilon: float) -> float:
     # Numerator of the mismatch: u'(L) + sqrt(eps) u(L).  Shares its root with
     # the mismatch but crosses zero at O(1) scale, so a coarse scan can
     # bracket it (the mismatch itself dips and recovers within an
     # exponentially narrow energy window around the root).
-    u, up = _terminal_state(cfg, pieces, epsilon)
+    u, up = _terminal_state(cfg, samples, epsilon)
     return up + math.sqrt(epsilon) * u
 
 
 def shooting_eigenvalue(cfg: ShootingConfig, potential) -> float:
     """Binding energy of the lowest state of the given parity, by Brent's method.
 
-    Scans the bracket for sign changes of the decay defect and refines the
-    one at the largest binding energy (the deepest level of the parity).
+    Samples V once, scans the bracket for sign changes of the decay defect
+    (one propagator product per energy) and refines the one at the largest
+    binding energy (the deepest level of the parity).  Renormalizing the
+    products keeps every sign, so wide boxes and deep wells cannot overflow.
     """
-    pieces = _pieces(cfg, potential)
+    samples = _sample(cfg, potential)
     if cfg.bracket is not None:
         lo, hi = cfg.bracket
     else:
@@ -144,7 +156,7 @@ def shooting_eigenvalue(cfg: ShootingConfig, potential) -> float:
         raise ValueError(f"empty bracket ({lo:g}, {hi:g})")
 
     grid = np.linspace(lo, hi, cfg.prescan)
-    defects = [_decay_defect(cfg, pieces, float(e)) for e in grid]
+    defects = [_decay_defect(cfg, samples, float(e)) for e in grid]
     bracket = None
     for i in range(len(grid) - 1):
         if defects[i] == 0.0:
@@ -160,7 +172,7 @@ def shooting_eigenvalue(cfg: ShootingConfig, potential) -> float:
         )
 
     return float(
-        brentq(lambda e: _decay_defect(cfg, pieces, e), *bracket, xtol=cfg.tol)
+        brentq(lambda e: _decay_defect(cfg, samples, e), *bracket, xtol=cfg.tol)
     )
 
 
@@ -170,7 +182,8 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
     Supports the sech^2 well, where with s(s+1) = lam the levels sit at
     (s - n)^2 for 0 <= n < s, and the square well, where level n solves
     k tan(ka) = sqrt(eps) (n even) or -k cot(ka) = sqrt(eps) (n odd) with
-    k^2 + eps = lam.
+    k^2 + eps = lam.  Raises ``NoBoundStateError`` for a level the well does
+    not have and ``ValueError`` for a bad argument.
     """
     if not lam > 0:
         raise ValueError(f"coupling lam must be positive, got {lam!r}")
@@ -180,7 +193,7 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
     if spec.kind == "poschl_teller":
         s = 0.5 * (math.sqrt(1.0 + 4.0 * lam) - 1.0)
         if index >= s:
-            raise ValueError(
+            raise NoBoundStateError(
                 f"sech^2 well with lam={lam:g} has no level {index} "
                 f"(supports indices below {s:g})"
             )
@@ -191,24 +204,14 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
         theta_max = math.sqrt(lam) * a
         lo = index * math.pi / 2.0
         if theta_max <= lo:
-            raise ValueError(
+            raise NoBoundStateError(
                 f"square well with lam={lam:g}, a={a:g} has no level {index}"
             )
         hi = min((index + 1) * math.pi / 2.0, theta_max)
 
-        if index % 2 == 0:
-
-            def f(theta):
-                return theta * math.tan(theta) - math.sqrt(
-                    max(lam * a * a - theta * theta, 0.0)
-                )
-
-        else:
-
-            def f(theta):
-                return -theta / math.tan(theta) - math.sqrt(
-                    max(lam * a * a - theta * theta, 0.0)
-                )
+        def f(theta):
+            lhs = theta * math.tan(theta) if index % 2 == 0 else -theta / math.tan(theta)
+            return lhs - math.sqrt(max(lam * a * a - theta * theta, 0.0))
 
         # The root is simple and the function monotone on the branch; a short
         # scan locates the sign change away from the branch endpoints.
@@ -222,12 +225,12 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
                 theta = brentq(f, float(thetas[i]), float(thetas[i + 1]), xtol=1e-13)
                 break
         else:
-            raise ValueError(
+            raise NoBoundStateError(
                 f"square well with lam={lam:g}, a={a:g} has no level {index}"
             )
         eps = lam - (theta / a) ** 2
         if eps <= 0:
-            raise ValueError(
+            raise NoBoundStateError(
                 f"square well with lam={lam:g}, a={a:g} has no bound level {index}"
             )
         return eps

@@ -224,6 +224,23 @@ class TestExitCodes:
         assert code == 1
         assert "no closed-form levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["analytic", "shooting"])
+    def test_oracle_bad_coupling_is_1(self, method, capsys):
+        # a nonpositive coupling is a usage error whichever route is asked
+        code = main(
+            [
+                "oracle",
+                "--potential",
+                "poschl_teller",
+                "--lambda",
+                "-1",
+                "--method",
+                method,
+            ]
+        )
+        assert code == 1
+        assert "coupling lam must be positive" in capsys.readouterr().err
+
     def test_analytic_oracle_missing_level_is_2(self, capsys):
         code = main(
             [

@@ -55,7 +55,8 @@ class TestShootMismatch:
         assert doubled == pytest.approx(base, abs=1e-12)
 
     def test_rescaling_guard_leaves_mismatch_unchanged(self):
-        # A huge initial scale forces the overflow guard to fire repeatedly.
+        # The overflow guard is the power-of-two renormalization of every
+        # propagator product; a huge initial scale must not change the ratio.
         cfg = ShootingConfig(lam=1.0, parity="even")
         base = shoot_mismatch(cfg, PotentialSpec.gaussian(), 0.3)
         scaled = shoot_mismatch(
@@ -100,6 +101,31 @@ class TestShootingEigenvalue:
         with pytest.raises(NoBoundStateError):
             shooting_eigenvalue(cfg, PotentialSpec.square_well(1.0))
 
+    def test_wide_box_matches_default_box(self, recwarn):
+        # A box five times wider (30000 steps) must give the half_width=12
+        # level to 1e-9, silently.
+        wide = shooting_eigenvalue(
+            ShootingConfig(lam=1.0, parity="even", half_width=60.0),
+            PotentialSpec.gaussian(),
+        )
+        default = shooting_eigenvalue(
+            ShootingConfig(lam=1.0, parity="even", half_width=12.0),
+            PotentialSpec.gaussian(),
+        )
+        assert wide == pytest.approx(default, abs=1e-9)
+        assert len(recwarn) == 0
+
+    def test_deep_wide_well_needs_no_overflow(self, recwarn):
+        # lam=200 sech^2 on half_width=60: the outward solution grows by about
+        # exp(sqrt(186) * 60) = exp(819), past the float range, so this level
+        # is only reachable through the renormalized products.
+        spec = PotentialSpec.poschl_teller()
+        cfg = ShootingConfig(lam=200.0, parity="even", half_width=60.0)
+        assert shooting_eigenvalue(cfg, spec) == pytest.approx(
+            analytic_level(spec, 200.0, 0), abs=1e-6
+        )
+        assert len(recwarn) == 0
+
     def test_callable_potential_needs_bracket(self):
         cfg = ShootingConfig(lam=2.0, parity="even")
         with pytest.raises(ValueError):
@@ -122,11 +148,11 @@ class TestAnalyticLevel:
         )
 
     def test_missing_levels_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NoBoundStateError):
             analytic_level(PotentialSpec.poschl_teller(), 2.0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(NoBoundStateError):
             analytic_level(PotentialSpec.square_well(1.0), 1.0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(NoBoundStateError):
             analytic_level(PotentialSpec.square_well(1.0), PI2_OVER_4, 1)
 
     def test_no_closed_form_for_gaussian(self):
