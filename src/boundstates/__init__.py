@@ -16,7 +16,6 @@ from .errors import (
 from .grid import Grid, SampledFunction, inner_product, integrate, make_grid
 from .lanczos import (
     Hamiltonian,
-    LanczosRun,
     RitzPair,
     classify_pairs,
     delta_check,
@@ -31,7 +30,6 @@ from .lanczos import (
 from .potentials import (
     PotentialSpec,
     peak_value,
-    potential_function,
     potential_pieces,
     sample_potential,
 )
@@ -44,9 +42,7 @@ from .shooting import (
 from .waxman import (
     GreensKernel,
     LambdaEpsilonCurve,
-    SweepPoint,
     WaxmanConfig,
-    WaxmanResult,
     apply_kernel,
     bound_state_residual,
     curve_from_results,
@@ -76,14 +72,11 @@ __all__ = [
     "inner_product",
     "PotentialSpec",
     "sample_potential",
-    "potential_function",
     "potential_pieces",
     "peak_value",
     "GreensKernel",
     "WaxmanConfig",
-    "WaxmanResult",
     "LambdaEpsilonCurve",
-    "SweepPoint",
     "kernel_value",
     "apply_kernel",
     "lambda_from",
@@ -98,7 +91,6 @@ __all__ = [
     "bound_state_residual",
     "write_sweep_csv",
     "Hamiltonian",
-    "LanczosRun",
     "RitzPair",
     "hamiltonian_apply",
     "start_vector",

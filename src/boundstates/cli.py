@@ -75,24 +75,22 @@ _KEYS = (
     _Key("output", str, flag="--output"),
 )
 _BY_NAME = {key.name: key for key in _KEYS}
-_REQUIRED_KEYS = ("potential", "solver")
+_REQUIRED_KEYS = ("potential",)
 
 
 class ExperimentConfig:
     """Flat experiment description, by config key.
 
-    Attribute access gives a key's value as set (None when unset); ``get``
-    falls back to the command's default, then to the key's own default.
+    ``values`` holds the keys as set, which must include every required key;
+    ``get`` falls back to the command's default, then to the key's own default.
     """
 
-    def __init__(self, values: dict | None = None, defaults: dict | None = None):
-        self.values = dict(values or {})
+    def __init__(self, values: dict, defaults: dict | None = None):
+        missing = [name for name in _REQUIRED_KEYS if name not in values]
+        if missing:
+            raise ConfigError(f"missing required keys: {', '.join(missing)}")
+        self.values = dict(values)
         self.defaults = {key.name: key.default for key in _KEYS} | dict(defaults or {})
-
-    def __getattr__(self, name: str):
-        if name not in _BY_NAME:
-            raise AttributeError(name)
-        return self.values.get(name)
 
     def get(self, name: str):
         return self.values.get(name, self.defaults[name])
@@ -133,9 +131,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if name in values:
             raise ConfigError(f"line {line_no}: duplicate key '{name}'")
         values[name] = _parse_value(_BY_NAME[name], raw.strip(), line_no)
-    missing = [name for name in _REQUIRED_KEYS if name not in values]
-    if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return ExperimentConfig(values)
 
 
@@ -158,13 +153,13 @@ def _print_header(cfg: ExperimentConfig, stream: IO[str]) -> None:
 def _build_spec(cfg: ExperimentConfig) -> PotentialSpec:
     kind = cfg.get("potential")
     if kind == "square_well":
-        if cfg.well_half_width is None:
+        if cfg.get("well_half_width") is None:
             raise ConfigError("square_well requires well_half_width")
-        return PotentialSpec.square_well(cfg.well_half_width)
+        return PotentialSpec.square_well(cfg.get("well_half_width"))
     if kind == "table":
-        if cfg.table_values is None:
+        if cfg.get("table_values") is None:
             raise ConfigError("table potential requires table_values")
-        return PotentialSpec.table(cfg.table_values)
+        return PotentialSpec.table(cfg.get("table_values"))
     return PotentialSpec(kind)
 
 
@@ -175,8 +170,8 @@ def _build_potential(cfg: ExperimentConfig) -> tuple[Grid, SampledFunction]:
 
 def _waxman_overrides(cfg: ExperimentConfig) -> dict:
     out = {"tol": cfg.get("tol"), "max_iter": cfg.get("max_iter")}
-    if cfg.x_ref is not None:
-        out["x_ref"] = cfg.x_ref
+    if cfg.get("x_ref") is not None:
+        out["x_ref"] = cfg.get("x_ref")
     return out
 
 
@@ -266,12 +261,13 @@ def _cmd_solve_lanczos(cfg: ExperimentConfig, stream: IO[str]) -> int:
     labelled = lz.classify_pairs(history) if run.m >= 3 else [
         (p, "undecided") for p in history[-1]
     ]
-    if cfg.output is not None:
-        with open(cfg.output, "w", newline="") as fh:
+    output = cfg.get("output")
+    if output is not None:
+        with open(output, "w", newline="") as fh:
             lz.write_trace_csv(history, fh)
     _print_header(cfg, stream)
-    if cfg.output is not None:
-        stream.write(f"wrote iteration trace to {cfg.output}\n")
+    if output is not None:
+        stream.write(f"wrote iteration trace to {output}\n")
     stream.write("index value delta label\n")
     for i, (pair, label) in enumerate(labelled):
         stream.write(f"{i} {pair.value:.17g} {pair.delta:.17g} {label}\n")
@@ -339,6 +335,12 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _numeric_row(name: str, computed: float, reference: float, tol: float) -> ReportRow:
+    """Row that passes when ``computed`` is within ``tol`` of ``reference``."""
+    passed = abs(computed - reference) <= tol
+    return ReportRow(name, _fmt(computed), _fmt(reference), f"{tol:g}", passed)
+
+
 def run_reproduce_paper(
     output_dir: str | Path = ".", stream: IO[str] = sys.stdout
 ) -> bool:
@@ -371,12 +373,8 @@ def run_reproduce_paper(
     full_curve = wx.curve_from_results(full_points, "full")
     eps_waxman = wx.invert_curve(full_curve, 1.0)
     rows.append(
-        ReportRow(
-            "waxman_ground_energy",
-            _fmt(-eps_waxman),
-            _fmt(REFERENCE_GROUND_ENERGY),
-            f"{TOL_GROUND:g}",
-            abs(-eps_waxman - REFERENCE_GROUND_ENERGY) <= TOL_GROUND,
+        _numeric_row(
+            "waxman_ground_energy", -eps_waxman, REFERENCE_GROUND_ENERGY, TOL_GROUND
         )
     )
 
@@ -384,12 +382,8 @@ def run_reproduce_paper(
     shoot = ShootingConfig(lam=1.0, parity="even")
     eps_shoot = shooting_eigenvalue(shoot, PotentialSpec.gaussian())
     rows.append(
-        ReportRow(
-            "shooting_vs_waxman",
-            _fmt(-eps_shoot),
-            _fmt(-eps_waxman),
-            f"{TOL_ORACLE_AGREEMENT:g}",
-            abs(eps_shoot - eps_waxman) <= TOL_ORACLE_AGREEMENT,
+        _numeric_row(
+            "shooting_vs_waxman", -eps_shoot, -eps_waxman, TOL_ORACLE_AGREEMENT
         )
     )
 
@@ -427,12 +421,8 @@ def run_reproduce_paper(
     # Excited-state threshold coupling by square-root extrapolation.
     lam_star = wx.threshold_lambda(V, "odd", THRESHOLD_TAIL)
     rows.append(
-        ReportRow(
-            "excited_threshold",
-            _fmt(lam_star),
-            _fmt(REFERENCE_EXCITED_THRESHOLD),
-            f"{TOL_THRESHOLD:g}",
-            abs(lam_star - REFERENCE_EXCITED_THRESHOLD) <= TOL_THRESHOLD,
+        _numeric_row(
+            "excited_threshold", lam_star, REFERENCE_EXCITED_THRESHOLD, TOL_THRESHOLD
         )
     )
 
@@ -464,12 +454,11 @@ def run_reproduce_paper(
     labelled = lz.classify_pairs(history)
     lowest_pair, lowest_label = min(labelled, key=lambda pl: pl[0].value)
     rows.append(
-        ReportRow(
+        _numeric_row(
             "lanczos_ground_energy",
-            _fmt(lowest_pair.value),
-            _fmt(REFERENCE_LANCZOS_GROUND),
-            f"{TOL_LANCZOS_GROUND:g}",
-            abs(lowest_pair.value - REFERENCE_LANCZOS_GROUND) <= TOL_LANCZOS_GROUND,
+            lowest_pair.value,
+            REFERENCE_LANCZOS_GROUND,
+            TOL_LANCZOS_GROUND,
         )
     )
     spurious_pos = [
@@ -554,8 +543,6 @@ def _merge_config(args: argparse.Namespace, command: _Command) -> ExperimentConf
         if value is not None:
             values[key.name] = value
     values["solver"] = command.solver
-    if "potential" not in values:
-        raise ConfigError("missing required keys: potential")
     return ExperimentConfig(values, command.defaults)
 
 

@@ -19,8 +19,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from .grid import Grid, SampledFunction, check_same_grid
 
-# Classification defaults: delta below tau_zero and falling reads as a
-# genuine bound pair, delta above tau_spur and not falling as spurious.
+# Classification thresholds: delta below TAU_ZERO and falling reads as a
+# genuine bound pair, delta above TAU_SPUR and not falling as spurious;
+# MATCH_GATE is the largest eigenvalue step that still threads a track.
 TAU_ZERO = 0.05
 TAU_SPUR = 0.5
 MATCH_GATE = 0.1
@@ -203,28 +204,14 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
     return history
 
 
-def classify_pairs(
-    history: Sequence[Sequence[RitzPair]],
-    tau_zero: float = TAU_ZERO,
-    tau_spur: float = TAU_SPUR,
-    match_gate: float = MATCH_GATE,
-) -> list[tuple[RitzPair, str]]:
-    """Label the final iteration's pairs as genuine, spurious, or undecided.
+def _label_history(history: Sequence[Sequence[RitzPair]]) -> list[list[str]]:
+    """Labels of every iteration's pairs, by the rules of ``classify_pairs``.
 
-    Pairs are threaded across iterations greedily by eigenvalue proximity
-    (within ``match_gate``); unmatched pairs open new tracks.  A track whose
-    delta sequence is falling and ends below ``tau_zero`` is genuine; one
-    bounded away from zero (above ``tau_spur`` throughout the last three
-    iterations) is spurious; anything else stays undecided.  Demanding that
-    the sequence stay large, rather than grow, matters here: in a growing
-    Krylov space the unconverged band pairs' deltas creep downward even
-    though they never approach zero.
+    Threading is causal: row ``li`` is what ``classify_pairs(history[:li + 1])``
+    returns, and the first two rows are all undecided.
     """
-    if len(history) < 3:
-        raise ValueError("classification needs at least 3 iterations of history")
-
     tracks: list[dict] = []
-    pair_track: dict[int, dict] = {}
+    labels = []
     for li, pairs in enumerate(history):
         open_tracks = [t for t in tracks if t["last_iter"] == li - 1]
         taken_tracks: set[int] = set()
@@ -236,11 +223,12 @@ def classify_pairs(
         )
         assignment: dict[int, dict] = {}
         for dist, pi, ti in candidates:
-            if dist > match_gate or pi in taken_pairs or ti in taken_tracks:
+            if dist > MATCH_GATE or pi in taken_pairs or ti in taken_tracks:
                 continue
             assignment[pi] = open_tracks[ti]
             taken_pairs.add(pi)
             taken_tracks.add(ti)
+        row = []
         for pi, p in enumerate(pairs):
             track = assignment.get(pi)
             if track is None:
@@ -249,22 +237,35 @@ def classify_pairs(
             track["value"] = p.value
             track["deltas"].append(p.delta)
             track["last_iter"] = li
-            if li == len(history) - 1:
-                pair_track[pi] = track
+            seq = track["deltas"]
+            label = "undecided"
+            if len(seq) >= 3:
+                a, b, c = seq[-3], seq[-2], seq[-1]
+                slack = 1e-12  # tolerate roundoff jitter in fully converged deltas
+                if c < TAU_ZERO and a + slack >= b and b + slack >= c:
+                    label = "genuine"
+                elif min(a, b, c) > TAU_SPUR:
+                    label = "spurious"
+            row.append(label)
+        labels.append(row)
+    return labels
 
-    labelled = []
-    for pi, p in enumerate(history[-1]):
-        seq = pair_track[pi]["deltas"]
-        label = "undecided"
-        if len(seq) >= 3:
-            a, b, c = seq[-3], seq[-2], seq[-1]
-            slack = 1e-12  # tolerate roundoff jitter in fully converged deltas
-            if c < tau_zero and a + slack >= b and b + slack >= c:
-                label = "genuine"
-            elif min(a, b, c) > tau_spur:
-                label = "spurious"
-        labelled.append((p, label))
-    return labelled
+
+def classify_pairs(history: Sequence[Sequence[RitzPair]]) -> list[tuple[RitzPair, str]]:
+    """Label the final iteration's pairs as genuine, spurious, or undecided.
+
+    Pairs are threaded across iterations greedily by eigenvalue proximity
+    (within ``MATCH_GATE``); unmatched pairs open new tracks.  A track whose
+    delta sequence is falling and ends below ``TAU_ZERO`` is genuine; one
+    bounded away from zero (above ``TAU_SPUR`` throughout the last three
+    iterations) is spurious; anything else stays undecided.  Demanding that
+    the sequence stay large, rather than grow, matters here: in a growing
+    Krylov space the unconverged band pairs' deltas creep downward even
+    though they never approach zero.
+    """
+    if len(history) < 3:
+        raise ValueError("classification needs at least 3 iterations of history")
+    return list(zip(history[-1], _label_history(history)[-1]))
 
 
 TRACE_CSV_HEADER = "iteration,ritz_index,value,delta,label"
@@ -273,11 +274,7 @@ TRACE_CSV_HEADER = "iteration,ritz_index,value,delta,label"
 def write_trace_csv(history: Sequence[Sequence[RitzPair]], stream: IO[str]) -> None:
     """Per-iteration Ritz trace; labels use the history available so far."""
     stream.write(TRACE_CSV_HEADER + "\n")
-    for li, pairs in enumerate(history, start=1):
-        if li >= 3:
-            labels = [label for _, label in classify_pairs(history[:li])]
-        else:
-            labels = ["undecided"] * len(pairs)
+    for li, (pairs, labels) in enumerate(zip(history, _label_history(history)), 1):
         for ri, (pair, label) in enumerate(zip(pairs, labels)):
             stream.write(
                 f"{li},{ri},{pair.value:.17g},{pair.delta:.17g},{label}\n"

@@ -7,7 +7,6 @@ in the eigenvalue problem, so all shapes here are nonnegative and decay
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,56 +64,47 @@ class PotentialSpec:
         return cls("table", values=tuple(float(v) for v in values))
 
 
-def _square_well_mask(x: np.ndarray, a: float) -> np.ndarray:
-    # Closed-interval test; the tiny slack keeps a node that lands exactly on
-    # the edge inside the well regardless of rounding in the mesh coordinates.
-    return np.abs(x) <= a + 1e-12 * max(1.0, a)
+def _shape(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
+    """V at the points ``x`` for every kind but ``table``, which has no formula."""
+    if spec.kind == "gaussian":
+        return np.exp(-0.5 * x * x)
+    if spec.kind == "poschl_teller":
+        return 1.0 / np.cosh(x) ** 2
+    # Square well, a closed interval: the tiny slack keeps a node that lands
+    # exactly on the edge inside the well regardless of rounding in the mesh.
+    return np.where(np.abs(x) <= spec.a + 1e-12 * max(1.0, spec.a), 1.0, 0.0)
 
 
 def sample_potential(spec: PotentialSpec, grid: Grid) -> SampledFunction:
     """Pointwise samples of the potential on ``grid``."""
-    x = grid.points
-    if spec.kind == "gaussian":
-        vals = np.exp(-0.5 * x * x)
-    elif spec.kind == "poschl_teller":
-        vals = 1.0 / np.cosh(x) ** 2
-    elif spec.kind == "square_well":
-        vals = np.where(_square_well_mask(x, spec.a), 1.0, 0.0)
-    else:  # table
-        vals = np.asarray(spec.values, dtype=float)
-        if vals.shape != (grid.n_points,):
-            raise ValueError(
-                f"table has {vals.shape[0]} values but grid has {grid.n_points} points"
-            )
+    if spec.kind != "table":
+        return SampledFunction(grid, _shape(spec, grid.points))
+    vals = np.asarray(spec.values, dtype=float)
+    if vals.shape != (grid.n_points,):
+        raise ValueError(
+            f"table has {vals.shape[0]} values but grid has {grid.n_points} points"
+        )
     return SampledFunction(grid, vals)
-
-
-def potential_function(spec: PotentialSpec) -> Callable[[float], float]:
-    """Scalar evaluator V(x) for off-grid use (shooting integrator)."""
-    if spec.kind == "gaussian":
-        return lambda x: math.exp(-0.5 * x * x)
-    if spec.kind == "poschl_teller":
-        return lambda x: 1.0 / math.cosh(x) ** 2
-    if spec.kind == "square_well":
-        a = spec.a
-        return lambda x: 1.0 if abs(x) <= a else 0.0
-    raise ValueError("table potentials have no off-grid evaluator")
 
 
 def potential_pieces(
     spec: PotentialSpec, half_width: float
-) -> list[tuple[float, float, Callable[[float], float]]]:
+) -> list[tuple[float, float, Callable[[np.ndarray], np.ndarray]]]:
     """Smooth pieces of V on [0, half_width] for piecewise integration.
 
     Splitting at jump locations lets a fixed-step integrator keep its full
-    order; within each piece the returned callable is smooth on the closure.
+    order; within each piece the returned vectorized evaluator is smooth on
+    the closure.  Raises ``ValueError`` for a table, which has no values off
+    its grid.
     """
+    if spec.kind == "table":
+        raise ValueError("table potentials have no off-grid evaluator")
     if spec.kind == "square_well" and spec.a < half_width:
         return [
-            (0.0, spec.a, lambda x: 1.0),
-            (spec.a, half_width, lambda x: 0.0),
+            (0.0, spec.a, np.ones_like),
+            (spec.a, half_width, np.zeros_like),
         ]
-    return [(0.0, half_width, potential_function(spec))]
+    return [(0.0, half_width, lambda x: _shape(spec, x))]
 
 
 def peak_value(spec: PotentialSpec) -> float:

@@ -23,6 +23,9 @@ from .potentials import PotentialSpec, peak_value, potential_pieces
 PARITIES = ("even", "odd")
 # Potential kinds with closed-form (or transcendental-root) levels.
 ANALYTIC_KINDS = ("poschl_teller", "square_well")
+# Energies on the sign-change scan of the bracket, and Brent's xtol.
+_PRESCAN = 50
+_XTOL = 1e-10
 
 
 @dataclass
@@ -33,46 +36,37 @@ class ShootingConfig:
     parity: str
     half_width: float = 12.0
     step: float = 2e-3
-    bracket: tuple[float, float] | None = None
-    tol: float = 1e-10
-    prescan: int = 50
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"coupling lam must be positive, got {self.lam!r}")
         if self.parity not in PARITIES:
             raise ValueError(f"parity must be one of {PARITIES}, got {self.parity!r}")
-        if not self.half_width > 0 or not self.step > 0 or not self.tol > 0:
-            raise ValueError("half_width, step, and tol must all be positive")
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if not (0 < lo < hi):
-                raise ValueError(f"bracket must satisfy 0 < lo < hi, got {self.bracket!r}")
+        if not self.half_width > 0 or not self.step > 0:
+            raise ValueError("half_width and step must both be positive")
 
 
-def _sample(cfg: ShootingConfig, potential) -> tuple[np.ndarray, np.ndarray]:
+def _sample(
+    cfg: ShootingConfig, potential: PotentialSpec
+) -> tuple[np.ndarray, np.ndarray]:
     """Step widths and V at x, x + h/2 and x + h of every RK4 step on [0, L].
 
     Each smooth piece gets a fixed step (splitting at jumps keeps the full
-    order); V is called once per sample point and once per solve.
+    order); V is evaluated once per piece, on all its sample points at once.
     """
-    if isinstance(potential, PotentialSpec):
-        pieces = potential_pieces(potential, cfg.half_width)
-    elif callable(potential):
-        pieces = [(0.0, cfg.half_width, potential)]
-    else:
-        raise TypeError("potential must be a PotentialSpec or a callable V(x)")
+    if not isinstance(potential, PotentialSpec):
+        raise TypeError(f"potential must be a PotentialSpec, got {potential!r}")
     widths, values = [], []
-    for lo, hi, f in pieces:
+    for lo, hi, f in potential_pieces(potential, cfg.half_width):
         nsteps = math.ceil((hi - lo) / cfg.step)
-        v = np.array([f(float(x)) for x in np.linspace(lo, hi, 2 * nsteps + 1)])
+        v = f(np.linspace(lo, hi, 2 * nsteps + 1))
         widths.append(np.full(nsteps, (hi - lo) / nsteps))
         values.append(np.stack([v[:-1:2], v[1::2], v[2::2]]))
     return np.concatenate(widths), np.concatenate(values, axis=1)
 
 
 def _terminal_state(
-    cfg: ShootingConfig, samples, epsilon: float, initial_scale: float = 1.0
+    cfg: ShootingConfig, samples, epsilon: float
 ) -> tuple[float, float]:
     """Integrate u'' = (eps - lam V) u outward from x = 0 to the boundary.
 
@@ -105,24 +99,21 @@ def _terminal_state(
             prod = np.concatenate([prod, m[..., -1:]], axis=-1)
         scale = np.abs(prod).max(axis=(0, 1))
         m = np.ldexp(prod, -np.frexp(scale)[1])
-    u, up = initial_scale * m[:, 0 if cfg.parity == "even" else 1, 0]
+    u, up = m[:, 0 if cfg.parity == "even" else 1, 0]
     return float(u), float(up)
 
 
 def shoot_mismatch(
-    cfg: ShootingConfig, potential, epsilon: float, initial_scale: float = 1.0
+    cfg: ShootingConfig, potential: PotentialSpec, epsilon: float
 ) -> float:
     """Logarithmic-derivative mismatch u'(L)/u(L) + sqrt(eps) at the boundary.
 
     Vanishes at an eigenvalue, where the outward solution matches the
-    decaying exponential; invariant under rescaling of the initial data
-    (``initial_scale`` exists to make that property testable).
+    decaying exponential.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if initial_scale == 0.0:
-        raise ValueError("initial_scale must be nonzero")
-    u, up = _terminal_state(cfg, _sample(cfg, potential), epsilon, initial_scale)
+    u, up = _terminal_state(cfg, _sample(cfg, potential), epsilon)
     if u == 0.0:
         return math.copysign(math.inf, up)
     return up / u + math.sqrt(epsilon)
@@ -137,25 +128,21 @@ def _decay_defect(cfg: ShootingConfig, samples, epsilon: float) -> float:
     return up + math.sqrt(epsilon) * u
 
 
-def shooting_eigenvalue(cfg: ShootingConfig, potential) -> float:
+def shooting_eigenvalue(cfg: ShootingConfig, potential: PotentialSpec) -> float:
     """Binding energy of the lowest state of the given parity, by Brent's method.
 
-    Samples V once, scans the bracket for sign changes of the decay defect
-    (one propagator product per energy) and refines the one at the largest
-    binding energy (the deepest level of the parity).  Renormalizing the
-    products keeps every sign, so wide boxes and deep wells cannot overflow.
+    Samples V once, scans the bracket (1e-4, lam * max V) for sign changes of
+    the decay defect (one propagator product per energy) and refines the one
+    at the largest binding energy (the deepest level of the parity).
+    Renormalizing the products keeps every sign, so wide boxes and deep wells
+    cannot overflow.
     """
     samples = _sample(cfg, potential)
-    if cfg.bracket is not None:
-        lo, hi = cfg.bracket
-    else:
-        if not isinstance(potential, PotentialSpec):
-            raise ValueError("an explicit bracket is required for a bare callable")
-        lo, hi = 1e-4, cfg.lam * peak_value(potential)
+    lo, hi = 1e-4, cfg.lam * peak_value(potential)
     if not lo < hi:
         raise ValueError(f"empty bracket ({lo:g}, {hi:g})")
 
-    grid = np.linspace(lo, hi, cfg.prescan)
+    grid = np.linspace(lo, hi, _PRESCAN)
     defects = [_decay_defect(cfg, samples, float(e)) for e in grid]
     bracket = None
     for i in range(len(grid) - 1):
@@ -172,7 +159,7 @@ def shooting_eigenvalue(cfg: ShootingConfig, potential) -> float:
         )
 
     return float(
-        brentq(lambda e: _decay_defect(cfg, samples, e), *bracket, xtol=cfg.tol)
+        brentq(lambda e: _decay_defect(cfg, samples, e), *bracket, xtol=_XTOL)
     )
 
 

@@ -13,6 +13,7 @@ the origin) does the same for the first excited state of an even well.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -28,6 +29,8 @@ SECTORS = ("full", "odd")
 # Below this magnitude the normalization integral is treated as zero.
 _DENOMINATOR_FLOOR = 1e-14
 _GRID_MISMATCH = "potential and state must share a grid"
+# Tail points (the ones nearest zero) in the threshold's square-root fit.
+_FIT_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,8 @@ class _KernelScan:
     Splitting the convolution at the evaluation node leaves two smooth
     half-integrals, so exponential prefix sums reproduce the trapezoid
     quadrature of the kinked integrand exactly, without the dense matrix.
+    The weights exp(+-sqrt(eps) x) must fit in a float over the whole box;
+    where they do not, the scan raises ``SolverError`` before computing any.
     """
 
     def __init__(self, grid: Grid, epsilon: float, sector: str):
@@ -89,6 +94,11 @@ class _KernelScan:
         self.epsilon = epsilon
         self.sector = sector
         self.s = math.sqrt(epsilon)
+        if self.s * grid.half_width > math.log(sys.float_info.max):
+            raise SolverError(
+                f"kernel weights exp(sqrt(eps) * half_width) overflow at "
+                f"epsilon={epsilon:g}, half_width={grid.half_width:g}"
+            )
         if sector == "full":
             x = grid.points
         else:
@@ -183,7 +193,6 @@ class WaxmanConfig:
     tol: float = 1e-10
     max_iter: int = 500
     sector: str = "full"
-    start: SampledFunction | None = None
 
     def __post_init__(self):
         GreensKernel(self.epsilon, self.sector)  # validates epsilon and sector
@@ -215,12 +224,6 @@ def default_x_ref(grid: Grid, sector: str) -> float:
     return float(grid.points[idx])
 
 
-def _default_start(grid: Grid, sector: str) -> np.ndarray:
-    if sector == "full":
-        return np.ones(grid.n_points)
-    return grid.points.copy()
-
-
 def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     """Iterate the normalized map until successive iterates stop moving.
 
@@ -233,15 +236,9 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     if cfg.sector == "odd" and idx == grid.mid_index:
         raise ValueError("odd sector requires x_ref != 0 (the state vanishes there)")
 
-    if cfg.start is not None:
-        check_same_grid(grid, cfg.start.grid, _GRID_MISMATCH)
-        u = cfg.start.values.copy()
-    else:
-        u = _default_start(grid, cfg.sector)
-    ref = u[idx]
-    if abs(ref) < _DENOMINATOR_FLOOR * max(float(np.max(np.abs(u))), 1.0):
-        raise SolverError(f"start vector vanishes at x_ref={x_ref:g}")
-    u = u / ref
+    # Ones (full sector) or x (odd sector): nonzero at every admissible x_ref.
+    u = np.ones(grid.n_points) if cfg.sector == "full" else grid.points
+    u = u / u[idx]
 
     scan = _KernelScan(grid, cfg.epsilon, cfg.sector)
     Vv = V.values
@@ -395,7 +392,6 @@ def threshold_lambda(
     V: SampledFunction,
     sector: str,
     epsilon_tail: Sequence[float],
-    fit_points: int = 4,
     **config,
 ) -> float:
     """Smallest coupling at which the sector first binds.
@@ -428,7 +424,7 @@ def threshold_lambda(
             "threshold tail not settling: lambda values are not strictly "
             "decreasing toward the limit"
         )
-    k = min(int(fit_points), tail.size)
+    k = min(_FIT_POINTS, tail.size)
     slope, intercept = np.polyfit(np.sqrt(tail[-k:]), lams[-k:], 1)
     return float(intercept)
 

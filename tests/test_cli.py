@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import boundstates
 from boundstates import ConfigError
 from boundstates.cli import main, parse_config
 from _threshold import gaussian_odd_threshold
@@ -12,8 +13,8 @@ from _threshold import gaussian_odd_threshold
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = parse_config("potential=gaussian\nsolver=waxman\nepsilon=0.479203\n")
-        assert cfg.potential == "gaussian"
-        assert cfg.epsilon == 0.479203
+        assert cfg.get("potential") == "gaussian"
+        assert cfg.get("epsilon") == 0.479203
         assert cfg.get("half_width") == 12.0
         assert cfg.get("n_points") == 2401
         assert cfg.get("tol") == 1e-10
@@ -23,8 +24,8 @@ class TestParseConfig:
         cfg = parse_config(
             "# experiment\n\npotential=gaussian  # the shape\nsolver=oracle\n"
         )
-        assert cfg.potential == "gaussian"
-        assert cfg.solver == "oracle"
+        assert cfg.get("potential") == "gaussian"
+        assert cfg.get("solver") == "oracle"
 
     def test_unknown_key_named_with_line(self):
         with pytest.raises(ConfigError, match=r"line 2.*frequency"):
@@ -39,7 +40,7 @@ class TestParseConfig:
             parse_config("potential=gaussian\nepsilon=abc\nsolver=waxman\n")
 
     def test_empty_file_lists_required_keys(self):
-        with pytest.raises(ConfigError, match="potential.*solver"):
+        with pytest.raises(ConfigError, match="potential"):
             parse_config("")
 
     def test_duplicate_key_rejected(self):
@@ -50,7 +51,7 @@ class TestParseConfig:
         cfg = parse_config(
             "potential=gaussian\nsolver=waxman\nepsilons=0.1,0.2,0.3\n"
         )
-        assert cfg.epsilons == (0.1, 0.2, 0.3)
+        assert cfg.get("epsilons") == (0.1, 0.2, 0.3)
 
 
 class TestSubcommands:
@@ -101,6 +102,19 @@ class TestSubcommands:
         lam = float(next(l for l in out.splitlines() if l.startswith("lambda=")).split("=")[1])
         assert lam == pytest.approx(2.0, abs=2e-3)
         assert "converged=true" in out
+
+    def test_config_without_solver_runs(self, capsys, tmp_path):
+        # The subcommand names the solver, so a config file need not; the
+        # header still prints it and feeds back through --config unchanged.
+        cfgfile = tmp_path / "pt.cfg"
+        cfgfile.write_text("potential=poschl_teller\nepsilon=1.0\nn_points=601\n")
+        assert main(["solve-waxman", "--config", str(cfgfile)]) == 0
+        out = capsys.readouterr().out
+        assert "# solver=waxman\n" in out
+        header = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+        cfgfile.write_text("\n".join(header) + "\n")
+        assert main(["solve-waxman", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out == out
 
     def test_solve_waxman_nonconvergence_exits_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "slow.cfg"
@@ -215,6 +229,14 @@ class TestExitCodes:
         cfgfile.write_text("potential=gaussian\nsolver=waxman\nn_points=2400\n")
         assert main(["solve-waxman", "--config", str(cfgfile), "--epsilon", "0.5"]) == 1
 
+    def test_kernel_overflow_is_2(self, capsys, recwarn):
+        # exp(sqrt(200) * 60) = exp(848) is past the float range: a numerical
+        # failure, reported before any exponential is computed.
+        argv = ["--potential", "gaussian", "--half-width", "60", "--epsilon", "200"]
+        assert main(["solve-waxman", *argv]) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert len(recwarn) == 0
+
     def test_missing_required_value_is_1(self, capsys):
         # sweep without an epsilon list is a usage problem, not numerical
         assert main(["sweep", "--potential", "gaussian", "--output", "x.csv"]) == 1
@@ -318,6 +340,60 @@ def test_flag_set_is_pinned(command, capsys):
         main([command, "--help"])
     options = capsys.readouterr().out.split("options:", 1)[1]
     assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", options)) == FLAGS[command]
+
+
+PUBLIC_NAMES = {
+    "ConfigError",
+    "GridMismatchError",
+    "NoBoundStateError",
+    "SolverError",
+    "Grid",
+    "SampledFunction",
+    "make_grid",
+    "integrate",
+    "inner_product",
+    "PotentialSpec",
+    "sample_potential",
+    "potential_pieces",
+    "peak_value",
+    "GreensKernel",
+    "WaxmanConfig",
+    "LambdaEpsilonCurve",
+    "kernel_value",
+    "apply_kernel",
+    "lambda_from",
+    "waxman_step",
+    "waxman_fixed_point",
+    "default_x_ref",
+    "sweep_results",
+    "sweep_epsilon",
+    "curve_from_results",
+    "invert_curve",
+    "threshold_lambda",
+    "bound_state_residual",
+    "write_sweep_csv",
+    "Hamiltonian",
+    "RitzPair",
+    "hamiltonian_apply",
+    "start_vector",
+    "lanczos_run",
+    "tridiagonal_eigen",
+    "ritz_pairs",
+    "ritz_history",
+    "delta_check",
+    "classify_pairs",
+    "write_trace_csv",
+    "ShootingConfig",
+    "shoot_mismatch",
+    "shooting_eigenvalue",
+    "analytic_level",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(boundstates.__all__) == len(PUBLIC_NAMES)
+    assert set(boundstates.__all__) == PUBLIC_NAMES
+    assert all(hasattr(boundstates, name) for name in PUBLIC_NAMES)
 
 
 def test_subcommand_set_is_pinned(capsys):

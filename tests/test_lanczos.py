@@ -326,3 +326,21 @@ class TestTraceCsv:
         lines = outputs[0].splitlines()
         assert lines[0] == "iteration,ritz_index,value,delta,label"
         assert len(lines) == 1 + sum(len(p) for p in history)
+
+    def test_labels_match_classification_of_each_prefix(self):
+        # The trace labels every iteration in one tracking pass; that is only
+        # right because threading is causal, so each row must equal what
+        # classifying the history up to that iteration alone gives.
+        g = make_grid(12.0, COMPARISON_N)
+        H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+        history = ritz_history(lanczos_run(H, start_vector(g), 18), H)
+        buf = io.StringIO()
+        write_trace_csv(history, buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        for li in range(1, len(history) + 1):
+            labels = [row[4] for row in rows if int(row[0]) == li]
+            if li < 3:
+                assert labels == ["undecided"] * len(history[li - 1])
+            else:
+                assert labels == [lab for _, lab in classify_pairs(history[:li])]
+        assert {row[4] for row in rows} == {"genuine", "spurious", "undecided"}

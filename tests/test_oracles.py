@@ -46,24 +46,6 @@ class TestShootMismatch:
         for eps in (1.5, 1.7, 1.9):
             assert shoot_mismatch(cfg, PotentialSpec.poschl_teller(), eps) > 0.5
 
-    def test_scale_invariance(self):
-        cfg = ShootingConfig(lam=1.0, parity="odd")
-        base = shoot_mismatch(cfg, PotentialSpec.gaussian(), 0.3)
-        doubled = shoot_mismatch(
-            cfg, PotentialSpec.gaussian(), 0.3, initial_scale=2.0
-        )
-        assert doubled == pytest.approx(base, abs=1e-12)
-
-    def test_rescaling_guard_leaves_mismatch_unchanged(self):
-        # The overflow guard is the power-of-two renormalization of every
-        # propagator product; a huge initial scale must not change the ratio.
-        cfg = ShootingConfig(lam=1.0, parity="even")
-        base = shoot_mismatch(cfg, PotentialSpec.gaussian(), 0.3)
-        scaled = shoot_mismatch(
-            cfg, PotentialSpec.gaussian(), 0.3, initial_scale=1e90
-        )
-        assert scaled == pytest.approx(base, rel=1e-12)
-
     def test_rejects_nonpositive_epsilon(self):
         cfg = ShootingConfig(lam=1.0, parity="even")
         with pytest.raises(ValueError):
@@ -96,8 +78,8 @@ class TestShootingEigenvalue:
 
     def test_threshold_coupling_binds_nothing(self):
         # At the exact odd threshold the well binds only at epsilon -> 0+,
-        # so any bracket bounded away from zero contains no level.
-        cfg = ShootingConfig(lam=PI2_OVER_4, parity="odd", bracket=(1e-2, 2.0))
+        # so the bracket (1e-4, lam), bounded away from zero, holds no level.
+        cfg = ShootingConfig(lam=PI2_OVER_4, parity="odd")
         with pytest.raises(NoBoundStateError):
             shooting_eigenvalue(cfg, PotentialSpec.square_well(1.0))
 
@@ -126,9 +108,9 @@ class TestShootingEigenvalue:
         )
         assert len(recwarn) == 0
 
-    def test_callable_potential_needs_bracket(self):
+    def test_bare_callable_potential_rejected(self):
         cfg = ShootingConfig(lam=2.0, parity="even")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             shooting_eigenvalue(cfg, lambda x: 1.0 / math.cosh(x) ** 2)
 
 

@@ -9,7 +9,6 @@ from boundstates import (
     PotentialSpec,
     make_grid,
     peak_value,
-    potential_function,
     potential_pieces,
     sample_potential,
 )
@@ -22,7 +21,7 @@ class TestShapes:
 
     def test_gaussian_half_maximum(self):
         # half maximum sits at sqrt(2 ln 2), i.e. full width 2 sqrt(2 ln 2)
-        f = potential_function(PotentialSpec.gaussian())
+        [(_, _, f)] = potential_pieces(PotentialSpec.gaussian(), 12.0)
         assert f(math.sqrt(2.0 * math.log(2.0))) == pytest.approx(0.5, abs=1e-15)
 
     def test_poschl_teller_peak(self, fine_grid):
@@ -89,7 +88,7 @@ class TestValidation:
 
     def test_table_has_no_evaluator(self):
         with pytest.raises(ValueError):
-            potential_function(PotentialSpec.table([1.0, 1.0, 1.0]))
+            potential_pieces(PotentialSpec.table([1.0, 1.0, 1.0]), 12.0)
 
 
 class TestPieces:

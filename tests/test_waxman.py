@@ -235,6 +235,17 @@ class TestSweep:
         with pytest.raises(SolverError):
             curve_from_results(points)
 
+    def test_kernel_overflow_is_a_failed_point(self, recwarn):
+        # On half_width=60, exp(sqrt(eps) * 60) leaves the float range above
+        # eps ~ 140: that point fails with a typed error, its neighbour solves.
+        V = sample_potential(PotentialSpec.gaussian(), make_grid(60.0, 2401))
+        ok, overflow = sweep_results([1.0, 200.0], V)
+        assert ok.result is not None and ok.result.converged
+        assert overflow.result is None and "overflow" in overflow.error
+        with pytest.raises(SolverError, match="overflow"):
+            waxman_fixed_point(WaxmanConfig(epsilon=200.0), V)
+        assert len(recwarn) == 0
+
     def test_csv_format_and_determinism(self, gaussian_fine):
         points = sweep_results([0.3, 0.5], gaussian_fine)
         buffers = []
