@@ -1,4 +1,4 @@
-"""Uniform symmetric grids, sampled functions, and trapezoid quadrature."""
+"""Uniform symmetric grids, sampled functions, trapezoid quadrature, root finding."""
 
 from __future__ import annotations
 
@@ -113,3 +113,29 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> float:
     check_same_grid(f.grid, g.grid, "inner_product requires both functions on one grid")
     p = f.values * g.values
     return float(f.grid.spacing * (p.sum() - 0.5 * (p[0] + p[-1])))
+
+
+def find_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` between a and b by the Illinois method (Dowell & Jarratt 1971).
+
+    Regula falsi that halves the stored value of the end it keeps, so no end
+    sticks.  Returns an end where ``f`` is 0, else the last iterate once the
+    bracket is ``xtol`` wide; ``ValueError`` unless f(a), f(b) differ in sign.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ValueError(f"f({a!r}) and f({b!r}) must differ in sign")
+    while abs(b - a) > xtol:  # b is the latest iterate, a the other end
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)  # rounding put the secant point on an end
+            if c in (a, b):
+                break
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        a, fa = (a, 0.5 * fa) if (fc < 0.0) == (fb < 0.0) else (b, fb)
+        b, fb = c, fc
+    return b

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grid import Grid, SampledFunction, check_same_grid
 
@@ -139,6 +138,7 @@ def tridiagonal_eigen(
     alphas: Sequence[float], betas: Sequence[float]
 ) -> list[tuple[float, np.ndarray]]:
     """All eigenpairs of the symmetric tridiagonal matrix, ascending."""
+    from scipy.linalg import eigh_tridiagonal  # LAPACK stemr, loaded on first use
     d = np.asarray(alphas, dtype=float)
     e = np.asarray(betas, dtype=float)
     if d.ndim != 1 or d.size == 0:

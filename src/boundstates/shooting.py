@@ -15,15 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoBoundStateError
+from .grid import find_root
 from .potentials import PotentialSpec, peak_value, potential_pieces
 
 PARITIES = ("even", "odd")
 # Potential kinds with closed-form (or transcendental-root) levels.
 ANALYTIC_KINDS = ("poschl_teller", "square_well")
-# Energies on the sign-change scan of the bracket, and Brent's xtol.
+# Energies on the sign-change scan of the bracket, and the Illinois xtol.
 _PRESCAN = 50
 _XTOL = 1e-10
 
@@ -129,7 +129,7 @@ def _decay_defect(cfg: ShootingConfig, samples, epsilon: float) -> float:
 
 
 def shooting_eigenvalue(cfg: ShootingConfig, potential: PotentialSpec) -> float:
-    """Binding energy of the lowest state of the given parity, by Brent's method.
+    """Binding energy of the lowest state of the given parity, by the Illinois method.
 
     Samples V once, scans the bracket (1e-4, lam * max V) for sign changes of
     the decay defect (one propagator product per energy) and refines the one
@@ -158,9 +158,7 @@ def shooting_eigenvalue(cfg: ShootingConfig, potential: PotentialSpec) -> float:
             f"parity={cfg.parity}"
         )
 
-    return float(
-        brentq(lambda e: _decay_defect(cfg, samples, e), *bracket, xtol=_XTOL)
-    )
+    return float(find_root(lambda e: _decay_defect(cfg, samples, e), *bracket, _XTOL))
 
 
 def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
@@ -209,7 +207,7 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
                 theta = float(thetas[i])
                 break
             if vals[i] * vals[i + 1] < 0:
-                theta = brentq(f, float(thetas[i]), float(thetas[i + 1]), xtol=1e-13)
+                theta = find_root(f, float(thetas[i]), float(thetas[i + 1]), 1e-13)
                 break
         else:
             raise NoBoundStateError(

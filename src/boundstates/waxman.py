@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import NoBoundStateError, SolverError
-from .grid import Grid, SampledFunction, check_same_grid
+from .grid import Grid, SampledFunction, check_same_grid, find_root
 
 SECTORS = ("full", "odd")
 
@@ -352,11 +350,32 @@ def sweep_epsilon(
     return curve_from_results(sweep_results(epsilons, V, sector, **config), sector)
 
 
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson monotone slopes at the samples, as scipy's PCHIP takes them.
+
+    Inside, the weighted harmonic mean of the neighbouring secants (0 unless
+    they share a sign); at each end, Moler's one-sided three-point rule.
+    """
+    h, m = np.diff(x), np.diff(y) / np.diff(x)
+    if m.size == 1:
+        return np.full(2, m[0])
+    d = np.zeros_like(y)
+    ok = np.sign(m[:-1]) * np.sign(m[1:]) > 0
+    w1, w2 = (2 * h[1:] + h[:-1])[ok], (h[1:] + 2 * h[:-1])[ok]
+    d[1:-1][ok] = 1.0 / ((w1 / m[:-1][ok] + w2 / m[1:][ok]) / (w1 + w2))
+    for i, j in ((0, 1), (-1, -2)):
+        e = ((2 * h[i] + h[j]) * m[i] - h[i] * m[j]) / (h[i] + h[j])
+        flip = np.sign(e) != np.sign(m[i])
+        clamp = np.sign(m[i]) != np.sign(m[j]) and abs(e) > 3.0 * abs(m[i])
+        d[i] = 0.0 if flip else 3.0 * m[i] if clamp else e
+    return d
+
+
 def invert_curve(curve: LambdaEpsilonCurve, lambda_target: float) -> float:
     """Binding energy at which the interpolated curve reaches ``lambda_target``.
 
     Uses a monotone piecewise-cubic interpolant (no overshoot between
-    samples) and root-finds on it inside the bracketing interval.
+    samples) and the Illinois method inside the bracketing interval.
     """
     if not lambda_target > 0:
         raise ValueError(f"lambda_target must be positive, got {lambda_target!r}")
@@ -370,18 +389,20 @@ def invert_curve(curve: LambdaEpsilonCurve, lambda_target: float) -> float:
             f"no bound state at lambda={lambda_target:g} in the {curve.sector} "
             f"sector (curve spans lambda in [{lam.min():g}, {lam.max():g}])"
         )
-    interp = PchipInterpolator(eps, lam)
+    knots = np.column_stack([eps, lam, _pchip_slopes(eps, lam)])
     resid = lam - lambda_target
     for j in range(len(eps) - 1):
         if resid[j] * resid[j + 1] < 0:
-            root = brentq(
-                lambda e: float(interp(e)) - lambda_target,
-                eps[j],
-                eps[j + 1],
-                xtol=1e-13,
-                rtol=8.9e-16,
-            )
-            return float(root)
+            (x0, y0, d0), (x1, y1, d1) = knots[j : j + 2].tolist()
+            h, m = x1 - x0, (y1 - y0) / (x1 - x0)
+            t = (d0 + d1 - 2 * m) / h
+            c1, c0 = (m - d0) / h - t, t / h
+
+            def cubic(e):  # summed in scipy's PPoly order: equal to it bit for bit
+                s = e - x0
+                return y0 + d0 * s + c1 * (s * s) + c0 * (s * s * s) - lambda_target
+
+            return float(find_root(cubic, x0, x1, 1e-13))
     raise NoBoundStateError(
         f"no bracketing interval for lambda={lambda_target:g} "
         f"in the {curve.sector} sector"

@@ -14,6 +14,7 @@ from boundstates import (
     integrate,
     make_grid,
 )
+from boundstates.grid import find_root
 
 SQRT_2PI = 2.5066282746310005  # closed form of the Gaussian integral
 
@@ -146,3 +147,38 @@ def test_trapezoid_linearity(a, b, seed):
     lhs = integrate(SampledFunction(g, a * fv + b * gv))
     rhs = a * integrate(SampledFunction(g, fv)) + b * integrate(SampledFunction(g, gv))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestFindRoot:
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (2.0, 3.0)])
+    def test_no_sign_change_rejected(self, a, b):
+        with pytest.raises(ValueError, match="differ in sign"):
+            find_root(lambda x: x * x + 0.5, a, b, 1e-12)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 5.0), (-1.0, 2.0)])
+    def test_zero_at_an_end_returns_that_end(self, a, b):
+        assert find_root(lambda x: x - 2.0, a, b, 1e-12) == 2.0
+
+    # Strongly convex on the bracket: plain regula falsi never moves the
+    # upper end, so its bracket never narrows, and on exp(20x) and x^3 its
+    # iterate takes over 80000 steps to come within 1e-12.  Bisection needs
+    # 42 evaluations on [0, 1]; the Illinois halving must beat both.
+    @pytest.mark.parametrize(
+        "f, root",
+        [
+            (lambda x: x**10 - 0.5, 0.5**0.1),
+            (lambda x: math.exp(20.0 * x) - 2.0, math.log(2.0) / 20.0),
+            (lambda x: x**3 - 1e-6, 1e-2),
+        ],
+        ids=["x^10", "exp(20x)", "x^3"],
+    )
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0)])
+    def test_convex_roots_within_xtol_and_evaluation_cap(self, f, root, a, b):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            assert len(calls) <= 40, "no convergence within 40 evaluations"
+            return f(x)
+
+        assert abs(find_root(counted, a, b, 1e-12) - root) <= 1e-12

@@ -1,0 +1,68 @@
+"""scipy stays off the import path: only the Lanczos eigensolver loads it.
+
+Each case runs in a fresh interpreter, since this test session has scipy
+loaded already (the oracles in ``_threshold.py`` use it).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import boundstates
+
+# Imports the package, runs the CLI on the arguments if there are any, and
+# prints the exit code and the loaded scipy modules as its last line.
+_PROBE = """
+import sys
+import boundstates
+code = 0
+if sys.argv[1:]:
+    from boundstates.cli import main
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _scipy_modules(*argv):
+    """Exit code of ``boundstates *argv`` and the scipy modules it loaded."""
+    env = dict(os.environ)
+    src = str(Path(boundstates.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules() == (0, set())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--potential", "gaussian", "--lambda", "1", "--parity", "even"),
+        ("solve-waxman", "--potential", "gaussian", "--epsilon", "0.5"),
+    ],
+    ids=["oracle-shooting", "solve-waxman"],
+)
+def test_kernel_and_shooting_commands_load_no_scipy(argv):
+    code, modules = _scipy_modules(*argv)
+    assert code == 0
+    assert modules == set()
+
+
+def test_reproduce_paper_loads_only_scipy_linalg(tmp_path):
+    code, modules = _scipy_modules("reproduce-paper", "--output-dir", str(tmp_path))
+    assert code == 2  # the excited_threshold row fails the published value
+    subpackages = {".".join(m.split(".")[:2]) for m in modules}
+    assert "scipy.linalg" in subpackages
+    assert not subpackages & {"scipy.optimize", "scipy.interpolate"}

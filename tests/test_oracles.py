@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from boundstates import shooting
 from boundstates import (
     NoBoundStateError,
     PotentialSpec,
@@ -64,6 +65,24 @@ class TestShootingEigenvalue:
         # close to the reported number, and pinned to its converged digits
         assert eps == pytest.approx(REPORTED_GROUND_EPS, abs=2e-3)
         assert eps == pytest.approx(GAUSSIAN_EPS_LAM1, abs=1e-6)
+
+    def test_gaussian_ground_refine_is_superlinear(self, monkeypatch):
+        # 50 scan energies plus the Illinois refine; a silent fallback to
+        # bisection would take about 79 shots.  The level may move from the
+        # one Brent's method gave (0.4773899773796127) by well under the
+        # 1e-6 the printed table resolves.
+        calls = []
+        terminal_state = shooting._terminal_state
+
+        def counted(*args):
+            calls.append(args[-1])
+            assert len(calls) <= 60, "the solve took more than 60 shots"
+            return terminal_state(*args)
+
+        monkeypatch.setattr(shooting, "_terminal_state", counted)
+        cfg = ShootingConfig(lam=1.0, parity="even")
+        eps = shooting_eigenvalue(cfg, PotentialSpec.gaussian())
+        assert eps == pytest.approx(0.4773899773796127, abs=1e-10)
 
     def test_step_halving_stability(self):
         base = shooting_eigenvalue(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from boundstates import cli
 from boundstates import (
     GreensKernel,
     LambdaEpsilonCurve,
@@ -31,6 +32,7 @@ from boundstates import (
     waxman_step,
     write_sweep_csv,
 )
+from boundstates.waxman import _pchip_slopes
 from _threshold import (
     gaussian_ground_level,
     gaussian_odd_threshold,
@@ -287,6 +289,73 @@ class TestInvertCurve:
             LambdaEpsilonCurve(np.array([0.4, 0.2]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             LambdaEpsilonCurve(np.array([0.2, 0.4]), np.array([1.0, -2.0]))
+
+
+def _scipy_inverse(x, y, target):
+    """Inversion by scipy's PchipInterpolator and brentq on the first
+    bracketing interval: an independent check of ``invert_curve``."""
+    from scipy.interpolate import PchipInterpolator
+    from scipy.optimize import brentq
+
+    interp = PchipInterpolator(x, y)
+    r = y - target
+    j = next(j for j in range(len(x) - 1) if r[j] * r[j + 1] < 0)
+    return brentq(
+        lambda e: float(interp(e)) - target, x[j], x[j + 1], xtol=1e-13, rtol=8.9e-16
+    )
+
+
+# Non-uniform, non-monotone samples (lambda > 0 as a curve needs) that take
+# every branch of the slope rules: the left end clamps to 3 m0 (one-sided
+# estimate 4 m0 with m1 = -5 m0), the right end flips sign and is set to 0,
+# one interior knot sits between secants of opposite sign and two next to a
+# zero secant, and the rest take the weighted harmonic mean.
+SYNTHETIC_X = np.array([0.5, 1.5, 2.5, 3.0, 4.5, 4.8, 6.0, 7.5])
+SYNTHETIC_Y = np.array([5.0, 6.0, 1.0, 1.0, 4.0, 4.6, 5.8, 5.95])
+
+
+class TestPchipParity:
+    @pytest.fixture(scope="class")
+    def samples(self, gaussian_fine):
+        out = {
+            "synthetic": (SYNTHETIC_X, SYNTHETIC_Y),
+            "two-point": (np.array([0.2, 0.6]), np.array([0.9, 1.4])),
+        }
+        for sector, epsilons in (
+            ("full", cli.FULL_SWEEP_EPSILONS),
+            ("odd", cli.ODD_SWEEP_EPSILONS),
+        ):
+            curve = sweep_epsilon(epsilons, gaussian_fine, sector)
+            out[sector] = (curve.epsilons, curve.lambdas)
+        return out
+
+    @pytest.mark.parametrize("name", ["full", "odd", "synthetic", "two-point"])
+    def test_slopes_match_scipy(self, samples, name):
+        from scipy.interpolate import PchipInterpolator
+
+        x, y = samples[name]
+        reference = PchipInterpolator(x, y).derivative()(x)
+        np.testing.assert_allclose(_pchip_slopes(x, y), reference, rtol=0, atol=1e-13)
+
+    def test_synthetic_samples_take_every_branch(self):
+        d = _pchip_slopes(SYNTHETIC_X, SYNTHETIC_Y)
+        m = np.diff(SYNTHETIC_Y) / np.diff(SYNTHETIC_X)
+        assert d[0] == 3.0 * m[0]  # clamped end
+        assert d[-1] == 0.0 and m[-1] > 0  # sign-flipped end
+        assert d[1] == d[2] == d[3] == 0.0  # opposite secants, zero secant
+        assert np.all(d[4:-1] > 0)  # weighted harmonic means
+
+    @pytest.mark.parametrize("name", ["full", "odd", "synthetic", "two-point"])
+    def test_inverse_matches_scipy(self, samples, name):
+        x, y = samples[name]
+        targets = np.linspace(y.min(), y.max(), 41)[1:-1]
+        if name == "full":
+            targets = np.append(targets, 1.0)  # the reproduce-paper inversion
+        curve = LambdaEpsilonCurve(x, y, "odd" if name == "odd" else "full")
+        for target in targets[~np.isin(targets, y)]:
+            assert invert_curve(curve, target) == pytest.approx(
+                _scipy_inverse(x, y, target), abs=1e-13
+            )
 
 
 class TestThreshold:
