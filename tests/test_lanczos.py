@@ -193,6 +193,31 @@ class TestTridiagonalEigen:
         with pytest.raises(ValueError):
             tridiagonal_eigen([1.0, 2.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "n, m", [(COMPARISON_N, 18), (2401, 100)], ids=["reproduce-paper", "n2401-m100"]
+    )
+    def test_bit_identical_to_scipy_on_every_prefix(self, n, m):
+        # The trace CSV prints Ritz values and deltas to 17 digits, so the
+        # eigensolver is part of the byte contract.  numpy's syevd and scipy's
+        # stevd both run stedc on these matrices; a numpy or LAPACK build
+        # where they part shows up here, not as a silently changed CSV.
+        g = make_grid(12.0, n)
+        H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+        run = lanczos_run(H, start_vector(g), m)
+        assert run.m == m
+        for k in range(1, m + 1):
+            d, e = np.array(run.alphas[:k]), np.array(run.betas[: k - 1])
+            vals, vecs = eigh_tridiagonal(d, e)
+            ours = tridiagonal_eigen(d, e)
+            assert np.array_equal([v for v, _ in ours], vals), f"eigenvalues, m={k}"
+            for i, (_, z) in enumerate(ours):
+                assert np.array_equal(z, vecs[:, i]), f"eigenvector {i}, m={k}"
+
+    def test_scalar_bit_identical_to_scipy(self):
+        vals, vecs = eigh_tridiagonal(np.array([3.5]), np.array([]))
+        [(value, z)] = tridiagonal_eigen([3.5], [])
+        assert value == vals[0] and np.array_equal(z, vecs[:, 0])
+
 
 class TestRitzPairs:
     def test_sorted_unit_norm(self):
