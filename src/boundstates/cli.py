@@ -21,13 +21,7 @@ from . import waxman as wx
 from .errors import ConfigError, NoBoundStateError, SolverError
 from .grid import Grid, SampledFunction, make_grid
 from .potentials import KINDS, PotentialSpec, sample_potential
-from .shooting import (
-    ANALYTIC_KINDS,
-    PARITIES,
-    ShootingConfig,
-    analytic_level,
-    shooting_eigenvalue,
-)
+from .shooting import PARITIES, ShootingConfig, analytic_level, shooting_eigenvalue
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -111,12 +105,7 @@ def _parse_value(key: _Key, raw: str, line_no: int):
     return value
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key=value lines ('#' starts a comment) into a config.
-
-    Unknown keys, malformed values, and missing required keys are rejected
-    with the offending line number.
-    """
+def _parse_values(text: str) -> dict:
     values = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -131,7 +120,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if name in values:
             raise ConfigError(f"line {line_no}: duplicate key '{name}'")
         values[name] = _parse_value(_BY_NAME[name], raw.strip(), line_no)
-    return ExperimentConfig(values)
+    return values
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse flat key=value lines ('#' starts a comment) into a config.
+
+    Unknown keys and malformed values are rejected with the offending line
+    number, then missing required keys.
+    """
+    return ExperimentConfig(_parse_values(text))
 
 
 def _print_header(cfg: ExperimentConfig, stream: IO[str]) -> None:
@@ -169,10 +167,7 @@ def _build_potential(cfg: ExperimentConfig) -> tuple[Grid, SampledFunction]:
 
 
 def _waxman_overrides(cfg: ExperimentConfig) -> dict:
-    out = {"tol": cfg.get("tol"), "max_iter": cfg.get("max_iter")}
-    if cfg.get("x_ref") is not None:
-        out["x_ref"] = cfg.get("x_ref")
-    return out
+    return {name: cfg.get(name) for name in ("x_ref", "tol", "max_iter")}
 
 
 def _require(cfg: ExperimentConfig, name: str):
@@ -279,8 +274,6 @@ def _cmd_oracle(cfg: ExperimentConfig, stream: IO[str]) -> int:
     lam = cfg.get("lambda")
     parity = cfg.get("parity")
     if cfg.get("method") == "analytic":
-        if spec.kind not in ANALYTIC_KINDS:
-            raise ConfigError(f"no closed-form levels for potential kind {spec.kind!r}")
         index = 0 if parity == "even" else 1
         epsilon = analytic_level(spec, lam, index)
     else:
@@ -537,7 +530,7 @@ def _merge_config(args: argparse.Namespace, command: _Command) -> ExperimentConf
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        values = parse_config(text).values
+        values = _parse_values(text)
     for key in _KEYS:
         value = getattr(args, key.name, None)
         if value is not None:

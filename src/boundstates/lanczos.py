@@ -130,7 +130,7 @@ def lanczos_run(
         beta_prev = beta
 
     m_eff = len(alphas)
-    basis = [SampledFunction(grid, Q[i].copy()) for i in range(m_eff)]
+    basis = [SampledFunction(grid, Q[i]) for i in range(m_eff)]
     return LanczosRun(alphas=alphas, betas=betas, basis=basis, m=m_eff)
 
 
@@ -171,18 +171,24 @@ def delta_check(pair: RitzPair, H: Hamiltonian) -> float:
     return _delta_value(H, pair.vector.values, pair.value)
 
 
-def ritz_pairs(run: LanczosRun, H: Hamiltonian) -> list[RitzPair]:
-    """Assemble grid-space Ritz vectors and score each with the delta gauge."""
-    eig = tridiagonal_eigen(run.alphas, run.betas)
-    Q = np.stack([b.values for b in run.basis])
+def _ritz_row(
+    H: Hamiltonian, alphas: Sequence[float], betas: Sequence[float], Q: np.ndarray
+) -> list[RitzPair]:
     grid = H.grid
     pairs = []
-    for value, z in eig:
+    for value, z in tridiagonal_eigen(alphas, betas):
+        # One product per vector: a batched Z.T @ Q moves the last bits of delta.
         psi = z @ Q
         psi /= _norm(grid, psi)
         delta = _delta_value(H, psi, value)
-        pairs.append(RitzPair(value, SampledFunction(grid, psi), delta, run.m))
+        pairs.append(RitzPair(value, SampledFunction(grid, psi), delta, len(alphas)))
     return pairs
+
+
+def ritz_pairs(run: LanczosRun, H: Hamiltonian) -> list[RitzPair]:
+    """Assemble grid-space Ritz vectors and score each with the delta gauge."""
+    Q = np.stack([b.values for b in run.basis])
+    return _ritz_row(H, run.alphas, run.betas, Q)
 
 
 def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
@@ -191,62 +197,51 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
     Truncating the recursion reproduces exactly what a shorter run would
     have computed, so the history can be sliced out of one full run.
     """
-    history = []
-    for length in range(1, run.m + 1):
-        sub = LanczosRun(
-            alphas=run.alphas[:length],
-            betas=run.betas[: length - 1],
-            basis=run.basis[:length],
-            m=length,
-        )
-        history.append(ritz_pairs(sub, H))
-    return history
+    Q = np.stack([b.values for b in run.basis])
+    return [
+        _ritz_row(H, run.alphas[:k], run.betas[: k - 1], Q[:k])
+        for k in range(1, run.m + 1)
+    ]
+
+
+def _label(deltas: Sequence[float]) -> str:
+    if len(deltas) >= 3:
+        a, b, c = deltas[-3:]
+        slack = 1e-12  # tolerate roundoff jitter in fully converged deltas
+        if c < TAU_ZERO and a + slack >= b and b + slack >= c:
+            return "genuine"
+        if min(a, b, c) > TAU_SPUR:
+            return "spurious"
+    return "undecided"
 
 
 def _label_history(history: Sequence[Sequence[RitzPair]]) -> list[list[str]]:
     """Labels of every iteration's pairs, by the rules of ``classify_pairs``.
 
     Threading is causal: row ``li`` is what ``classify_pairs(history[:li + 1])``
-    returns, and the first two rows are all undecided.
+    returns, and the first two rows are all undecided.  Only the previous
+    row's tracks can continue; each is keyed by the (row, index) that opened
+    it, so equal distances go to the older track.
     """
-    tracks: list[dict] = []
+    tracks: dict[tuple[int, int], tuple[float, list[float]]] = {}
     labels = []
     for li, pairs in enumerate(history):
-        open_tracks = [t for t in tracks if t["last_iter"] == li - 1]
-        taken_tracks: set[int] = set()
-        taken_pairs: set[int] = set()
         candidates = sorted(
-            (abs(p.value - t["value"]), pi, ti)
+            (dist, pi, tag)
+            for tag, (value, _) in tracks.items()
             for pi, p in enumerate(pairs)
-            for ti, t in enumerate(open_tracks)
+            if (dist := abs(p.value - value)) <= MATCH_GATE
         )
-        assignment: dict[int, dict] = {}
-        for dist, pi, ti in candidates:
-            if dist > MATCH_GATE or pi in taken_pairs or ti in taken_tracks:
-                continue
-            assignment[pi] = open_tracks[ti]
-            taken_pairs.add(pi)
-            taken_tracks.add(ti)
-        row = []
+        continued: dict[int, tuple[tuple[int, int], list[float]]] = {}
+        for _, pi, tag in candidates:
+            if pi not in continued and tag in tracks:
+                continued[pi] = (tag, tracks.pop(tag)[1])
+        tracks = {}
         for pi, p in enumerate(pairs):
-            track = assignment.get(pi)
-            if track is None:
-                track = {"value": p.value, "deltas": [], "last_iter": li}
-                tracks.append(track)
-            track["value"] = p.value
-            track["deltas"].append(p.delta)
-            track["last_iter"] = li
-            seq = track["deltas"]
-            label = "undecided"
-            if len(seq) >= 3:
-                a, b, c = seq[-3], seq[-2], seq[-1]
-                slack = 1e-12  # tolerate roundoff jitter in fully converged deltas
-                if c < TAU_ZERO and a + slack >= b and b + slack >= c:
-                    label = "genuine"
-                elif min(a, b, c) > TAU_SPUR:
-                    label = "spurious"
-            row.append(label)
-        labels.append(row)
+            tag, deltas = continued.get(pi, ((li, pi), []))
+            deltas.append(p.delta)
+            tracks[tag] = (p.value, deltas)
+        labels.append([_label(deltas) for _, deltas in tracks.values()])
     return labels
 
 

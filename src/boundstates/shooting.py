@@ -21,8 +21,6 @@ from .grid import find_root
 from .potentials import PotentialSpec, peak_value, potential_pieces
 
 PARITIES = ("even", "odd")
-# Potential kinds with closed-form (or transcendental-root) levels.
-ANALYTIC_KINDS = ("poschl_teller", "square_well")
 # Energies on the sign-change scan of the bracket, and the Illinois xtol.
 _PRESCAN = 50
 _XTOL = 1e-10

@@ -116,6 +116,17 @@ class TestSubcommands:
         assert main(["solve-waxman", "--config", str(cfgfile)]) == 0
         assert capsys.readouterr().out == out
 
+    def test_flags_complete_a_config_file(self, capsys, tmp_path):
+        # Required keys are checked after the flags are merged in, so a file
+        # may leave the potential to the command line.
+        cfgfile = tmp_path / "eps.cfg"
+        cfgfile.write_text("epsilon=0.5\n")
+        argv = ["--config", str(cfgfile), "--potential", "gaussian", "--n-points", "601"]
+        assert main(["solve-waxman", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "# potential=gaussian\n" in out
+        assert "converged=true" in out
+
     def test_solve_waxman_nonconvergence_exits_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "slow.cfg"
         cfgfile.write_text(

@@ -248,6 +248,19 @@ class TestRitzPairs:
         assert any(p.value > 0 for p in pairs)
 
 
+    @pytest.mark.parametrize("kind", ["gaussian", "poschl_teller"])
+    def test_history_rows_equal_shorter_runs(self, kind):
+        g = make_grid(12.0, COMPARISON_N)
+        H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
+        phi = start_vector(g)
+        history = ritz_history(lanczos_run(H, phi, 18), H)
+        for k in range(1, 19):
+            short = ritz_pairs(lanczos_run(H, phi, k), H)
+            assert [(p.value, p.delta) for p in history[k - 1]] == [
+                (p.value, p.delta) for p in short
+            ]
+
+
 class TestDeltaCheck:
     def test_identity_with_residual_norm(self, rng):
         g, H = _coarse_setup()
@@ -295,6 +308,21 @@ class TestClassifyPairs:
             labelled = classify_pairs(history[:length])
             lowest = min(labelled, key=lambda pl: pl[0].value)
             assert lowest[1] == "genuine"
+
+    def test_equal_distances_continue_the_older_track(self):
+        # In the last row every pair is 0.05 from both open tracks.  Pair 0
+        # takes the track opened in row 1 (deltas 0.01, 0.01), not the one
+        # opened in row 2; the other order would read pair 1 as genuine.
+        rows = [
+            [(0.1, 0.01)],
+            [(0.0, 0.6), (0.1, 0.01)],
+            [(0.05, 0.6), (0.05, 0.01), (0.05, 0.6)],
+        ]
+        history = [
+            [RitzPair(value, None, delta, k) for value, delta in row]
+            for k, row in enumerate(rows, 1)
+        ]
+        assert [lab for _, lab in classify_pairs(history)] == ["undecided"] * 3
 
     def test_short_history_rejected(self):
         g, H = _coarse_setup()
