@@ -19,7 +19,7 @@ import numpy as np
 from . import lanczos as lz
 from . import waxman as wx
 from .errors import ConfigError, NoBoundStateError, SolverError
-from .grid import Grid, SampledFunction, make_grid
+from .grid import SampledFunction, make_grid
 from .potentials import KINDS, PotentialSpec, sample_potential
 from .shooting import PARITIES, ShootingConfig, analytic_level, shooting_eigenvalue
 
@@ -72,22 +72,12 @@ _BY_NAME = {key.name: key for key in _KEYS}
 _REQUIRED_KEYS = ("potential",)
 
 
-class ExperimentConfig:
-    """Flat experiment description, by config key.
-
-    ``values`` holds the keys as set, which must include every required key;
-    ``get`` falls back to the command's default, then to the key's own default.
-    """
-
-    def __init__(self, values: dict, defaults: dict | None = None):
-        missing = [name for name in _REQUIRED_KEYS if name not in values]
-        if missing:
-            raise ConfigError(f"missing required keys: {', '.join(missing)}")
-        self.values = dict(values)
-        self.defaults = {key.name: key.default for key in _KEYS} | dict(defaults or {})
-
-    def get(self, name: str):
-        return self.values.get(name, self.defaults[name])
+def _resolve(values: dict, defaults: dict) -> dict:
+    """Every key, by precedence key default < command default < keys as set."""
+    missing = [name for name in _REQUIRED_KEYS if name not in values]
+    if missing:
+        raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    return {key.name: key.default for key in _KEYS} | defaults | values
 
 
 def _parse_value(key: _Key, raw: str, line_no: int):
@@ -123,20 +113,20 @@ def _parse_values(text: str) -> dict:
     return values
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key=value lines ('#' starts a comment) into a config.
+def parse_config(text: str) -> dict:
+    """Parse flat key=value lines ('#' starts a comment) into a resolved config.
 
     Unknown keys and malformed values are rejected with the offending line
-    number, then missing required keys.
+    number, then missing required keys.  The result holds every key.
     """
-    return ExperimentConfig(_parse_values(text))
+    return _resolve(_parse_values(text), {})
 
 
-def _print_header(cfg: ExperimentConfig, stream: IO[str]) -> None:
+def _print_header(cfg: dict, stream: IO[str]) -> None:
     # The resolved configuration (defaults included) prefixes every report,
     # so any output can be reproduced from its own header.
     for key in _KEYS:
-        value = cfg.get(key.name)
+        value = cfg[key.name]
         if value is None:
             continue
         if isinstance(value, tuple):
@@ -148,44 +138,60 @@ def _print_header(cfg: ExperimentConfig, stream: IO[str]) -> None:
         stream.write(f"# {key.name}={rendered}\n")
 
 
-def _build_spec(cfg: ExperimentConfig) -> PotentialSpec:
-    kind = cfg.get("potential")
+def _build_spec(cfg: dict) -> PotentialSpec:
+    kind = cfg["potential"]
     if kind == "square_well":
-        if cfg.get("well_half_width") is None:
+        if cfg["well_half_width"] is None:
             raise ConfigError("square_well requires well_half_width")
-        return PotentialSpec.square_well(cfg.get("well_half_width"))
+        return PotentialSpec.square_well(cfg["well_half_width"])
     if kind == "table":
-        if cfg.get("table_values") is None:
+        if cfg["table_values"] is None:
             raise ConfigError("table potential requires table_values")
-        return PotentialSpec.table(cfg.get("table_values"))
+        return PotentialSpec.table(cfg["table_values"])
     return PotentialSpec(kind)
 
 
-def _build_potential(cfg: ExperimentConfig) -> tuple[Grid, SampledFunction]:
-    grid = make_grid(cfg.get("half_width"), cfg.get("n_points"))
-    return grid, sample_potential(_build_spec(cfg), grid)
+def _build_potential(cfg: dict) -> SampledFunction:
+    grid = make_grid(cfg["half_width"], cfg["n_points"])
+    return sample_potential(_build_spec(cfg), grid)
 
 
-def _waxman_overrides(cfg: ExperimentConfig) -> dict:
-    return {name: cfg.get(name) for name in ("x_ref", "tol", "max_iter")}
+def _waxman_overrides(cfg: dict) -> dict:
+    return {name: cfg[name] for name in ("x_ref", "tol", "max_iter")}
 
 
-def _require(cfg: ExperimentConfig, name: str):
-    value = cfg.get(name)
+def _require(cfg: dict, name: str):
+    value = cfg[name]
     if value is None:
         raise ConfigError(f"missing required key for this command: {name}")
     return value
+
+
+def _write_csv(path: str | Path, write: Callable, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        write(rows, fh)
+
+
+def _lanczos_trace(
+    V: SampledFunction, lam: float, m: int, output: str | Path | None
+) -> list[tuple[lz.RitzPair, str]]:
+    """Lanczos from the Gaussian start vector: Ritz history, trace CSV, labels."""
+    H = lz.Hamiltonian(V, lam)
+    history = lz.ritz_history(lz.lanczos_run(H, lz.start_vector(V.grid), m), H)
+    if output is not None:
+        _write_csv(output, lz.write_trace_csv, history)
+    return lz.classify_pairs(history)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_solve_waxman(cfg: ExperimentConfig, stream: IO[str]) -> int:
-    _, V = _build_potential(cfg)
+def _cmd_solve_waxman(cfg: dict, stream: IO[str]) -> int:
+    V = _build_potential(cfg)
     epsilon = _require(cfg, "epsilon")
     solve = wx.WaxmanConfig(
-        epsilon=epsilon, sector=cfg.get("sector"), **_waxman_overrides(cfg)
+        epsilon=epsilon, sector=cfg["sector"], **_waxman_overrides(cfg)
     )
     result = wx.waxman_fixed_point(solve, V)
     _print_header(cfg, stream)
@@ -203,15 +209,14 @@ def _cmd_solve_waxman(cfg: ExperimentConfig, stream: IO[str]) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: ExperimentConfig, stream: IO[str]) -> int:
-    _, V = _build_potential(cfg)
+def _cmd_sweep(cfg: dict, stream: IO[str]) -> int:
+    V = _build_potential(cfg)
     epsilons = _require(cfg, "epsilons")
     output = _require(cfg, "output")
     points = wx.sweep_results(
-        epsilons, V, sector=cfg.get("sector"), **_waxman_overrides(cfg)
+        epsilons, V, sector=cfg["sector"], **_waxman_overrides(cfg)
     )
-    with open(output, "w", newline="") as fh:
-        wx.write_sweep_csv(points, fh)
+    _write_csv(output, wx.write_sweep_csv, points)
     _print_header(cfg, stream)
     n_ok = sum(1 for p in points if p.result is not None and p.result.converged)
     stream.write(f"wrote {len(points)} sweep points to {output}\n")
@@ -222,12 +227,12 @@ def _cmd_sweep(cfg: ExperimentConfig, stream: IO[str]) -> int:
     return 0
 
 
-def _cmd_invert(cfg: ExperimentConfig, stream: IO[str]) -> int:
-    _, V = _build_potential(cfg)
+def _cmd_invert(cfg: dict, stream: IO[str]) -> int:
+    V = _build_potential(cfg)
     epsilons = _require(cfg, "epsilons")
     lam_target = _require(cfg, "lambda")
     curve = wx.sweep_epsilon(
-        epsilons, V, sector=cfg.get("sector"), **_waxman_overrides(cfg)
+        epsilons, V, sector=cfg["sector"], **_waxman_overrides(cfg)
     )
     epsilon = wx.invert_curve(curve, lam_target)
     _print_header(cfg, stream)
@@ -237,29 +242,19 @@ def _cmd_invert(cfg: ExperimentConfig, stream: IO[str]) -> int:
     return 0
 
 
-def _cmd_threshold(cfg: ExperimentConfig, stream: IO[str]) -> int:
-    _, V = _build_potential(cfg)
+def _cmd_threshold(cfg: dict, stream: IO[str]) -> int:
+    V = _build_potential(cfg)
     lam_star = wx.threshold_lambda(
-        V, cfg.get("sector"), cfg.get("epsilon_tail"), **_waxman_overrides(cfg)
+        V, cfg["sector"], cfg["epsilon_tail"], **_waxman_overrides(cfg)
     )
     _print_header(cfg, stream)
     stream.write(f"threshold_lambda={lam_star:.17g}\n")
     return 0
 
 
-def _cmd_solve_lanczos(cfg: ExperimentConfig, stream: IO[str]) -> int:
-    grid, V = _build_potential(cfg)
-    H = lz.Hamiltonian(V, cfg.get("lambda"))
-    phi1 = lz.start_vector(grid)
-    run = lz.lanczos_run(H, phi1, cfg.get("m"))
-    history = lz.ritz_history(run, H)
-    labelled = lz.classify_pairs(history) if run.m >= 3 else [
-        (p, "undecided") for p in history[-1]
-    ]
-    output = cfg.get("output")
-    if output is not None:
-        with open(output, "w", newline="") as fh:
-            lz.write_trace_csv(history, fh)
+def _cmd_solve_lanczos(cfg: dict, stream: IO[str]) -> int:
+    output = cfg["output"]
+    labelled = _lanczos_trace(_build_potential(cfg), cfg["lambda"], cfg["m"], output)
     _print_header(cfg, stream)
     if output is not None:
         stream.write(f"wrote iteration trace to {output}\n")
@@ -269,17 +264,15 @@ def _cmd_solve_lanczos(cfg: ExperimentConfig, stream: IO[str]) -> int:
     return 0
 
 
-def _cmd_oracle(cfg: ExperimentConfig, stream: IO[str]) -> int:
+def _cmd_oracle(cfg: dict, stream: IO[str]) -> int:
     spec = _build_spec(cfg)
-    lam = cfg.get("lambda")
-    parity = cfg.get("parity")
-    if cfg.get("method") == "analytic":
+    lam = cfg["lambda"]
+    parity = cfg["parity"]
+    if cfg["method"] == "analytic":
         index = 0 if parity == "even" else 1
         epsilon = analytic_level(spec, lam, index)
     else:
-        shoot = ShootingConfig(
-            lam=lam, parity=parity, half_width=cfg.get("half_width")
-        )
+        shoot = ShootingConfig(lam=lam, parity=parity, half_width=cfg["half_width"])
         epsilon = shooting_eigenvalue(shoot, spec)
     _print_header(cfg, stream)
     stream.write(f"epsilon={epsilon:.17g}\n")
@@ -324,14 +317,10 @@ class ReportRow:
     passed: bool
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
 def _numeric_row(name: str, computed: float, reference: float, tol: float) -> ReportRow:
     """Row that passes when ``computed`` is within ``tol`` of ``reference``."""
     passed = abs(computed - reference) <= tol
-    return ReportRow(name, _fmt(computed), _fmt(reference), f"{tol:g}", passed)
+    return ReportRow(name, f"{computed:.6f}", f"{reference:.6f}", f"{tol:g}", passed)
 
 
 def run_reproduce_paper(
@@ -347,9 +336,8 @@ def run_reproduce_paper(
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = make_grid(12.0, 2401)
-    V = sample_potential(PotentialSpec.gaussian(), grid)
-    rows: list[ReportRow] = []
+    gaussian = PotentialSpec.gaussian()
+    V = sample_potential(gaussian, make_grid(12.0, 2401))
 
     stream.write("# potential=gaussian half_width=12 n_points=2401 tol=1e-10\n")
     stream.write("# full sweep: 37 points on [0.1, 1.0]; odd sweep: 23 points\n")
@@ -361,123 +349,90 @@ def run_reproduce_paper(
 
     # Even-parity ground state: sweep, export, invert at unit coupling.
     full_points = wx.sweep_results(FULL_SWEEP_EPSILONS, V, sector="full")
-    with open(out / "waxman_sweep_full.csv", "w", newline="") as fh:
-        wx.write_sweep_csv(full_points, fh)
-    full_curve = wx.curve_from_results(full_points, "full")
-    eps_waxman = wx.invert_curve(full_curve, 1.0)
-    rows.append(
-        _numeric_row(
-            "waxman_ground_energy", -eps_waxman, REFERENCE_GROUND_ENERGY, TOL_GROUND
-        )
-    )
+    _write_csv(out / "waxman_sweep_full.csv", wx.write_sweep_csv, full_points)
+    eps_waxman = wx.invert_curve(wx.curve_from_results(full_points, "full"), 1.0)
 
     # Independent shooting value, compared against the inverted curve.
-    shoot = ShootingConfig(lam=1.0, parity="even")
-    eps_shoot = shooting_eigenvalue(shoot, PotentialSpec.gaussian())
-    rows.append(
-        _numeric_row(
-            "shooting_vs_waxman", -eps_shoot, -eps_waxman, TOL_ORACLE_AGREEMENT
-        )
-    )
+    eps_shoot = shooting_eigenvalue(ShootingConfig(lam=1.0, parity="even"), gaussian)
 
     # Odd sector: the curve must stay above unit coupling, so inversion at
     # lambda = 1 reports no solution.
     odd_points = wx.sweep_results(ODD_SWEEP_EPSILONS, V, sector="odd")
-    with open(out / "waxman_sweep_odd.csv", "w", newline="") as fh:
-        wx.write_sweep_csv(odd_points, fh)
+    _write_csv(out / "waxman_sweep_odd.csv", wx.write_sweep_csv, odd_points)
     odd_curve = wx.curve_from_results(odd_points, "odd")
     min_lambda = float(odd_curve.lambdas.min())
-    rows.append(
-        ReportRow(
-            "odd_sector_min_lambda",
-            _fmt(min_lambda),
-            "> 1",
-            "-",
-            min_lambda > 1.0,
-        )
-    )
     try:
         wx.invert_curve(odd_curve, 1.0)
         odd_outcome = "solution found"
     except NoBoundStateError:
         odd_outcome = "no solution"
-    rows.append(
+
+    # Excited-state threshold coupling by square-root extrapolation.
+    lam_star = wx.threshold_lambda(V, "odd", THRESHOLD_TAIL)
+
+    # Every converged sweep point must satisfy the grid eigenvalue equation.
+    residual_bound = 10.0 * V.grid.spacing**2
+    max_residual = max(
+        wx.bound_state_residual(p.result.u, V, p.result.lam, p.result.epsilon)
+        for p in wx.sweep_results(RESIDUAL_SWEEP_EPSILONS, V, sector="full")
+        if p.result is not None and p.result.converged
+    )
+
+    # Lanczos: 18 iterations, Ritz trace, spuriousness classification.
+    lz_V = sample_potential(gaussian, make_grid(12.0, LANCZOS_N_POINTS))
+    labelled = _lanczos_trace(lz_V, 1.0, 18, out / "lanczos_trace.csv")
+    lowest_pair, lowest_label = min(labelled, key=lambda pl: pl[0].value)
+    spurious_pos = [
+        p for p, label in labelled if label == "spurious" and p.value > 0
+    ]
+    ratio = (  # 0 without a positive spurious pair, so that row then fails
+        min(p.delta for p in spurious_pos) / lowest_pair.delta
+        if spurious_pos and lowest_pair.delta > 0
+        else math.inf if spurious_pos else 0.0
+    )
+
+    rows = [
+        _numeric_row(
+            "waxman_ground_energy", -eps_waxman, REFERENCE_GROUND_ENERGY, TOL_GROUND
+        ),
+        _numeric_row(
+            "shooting_vs_waxman", -eps_shoot, -eps_waxman, TOL_ORACLE_AGREEMENT
+        ),
+        ReportRow(
+            "odd_sector_min_lambda", f"{min_lambda:.6f}", "> 1", "-", min_lambda > 1.0
+        ),
         ReportRow(
             "odd_sector_lambda1",
             odd_outcome,
             "no solution",
             "-",
             odd_outcome == "no solution",
-        )
-    )
-
-    # Excited-state threshold coupling by square-root extrapolation.
-    lam_star = wx.threshold_lambda(V, "odd", THRESHOLD_TAIL)
-    rows.append(
+        ),
         _numeric_row(
             "excited_threshold", lam_star, REFERENCE_EXCITED_THRESHOLD, TOL_THRESHOLD
-        )
-    )
-
-    # Every converged sweep point must satisfy the grid eigenvalue equation.
-    residual_points = wx.sweep_results(RESIDUAL_SWEEP_EPSILONS, V, sector="full")
-    residual_bound = 10.0 * grid.spacing**2
-    max_residual = max(
-        wx.bound_state_residual(p.result.u, V, p.result.lam, p.result.epsilon)
-        for p in residual_points
-        if p.result is not None and p.result.converged
-    )
-    rows.append(
+        ),
         ReportRow(
             "waxman_residual_max",
             f"{max_residual:.2e}",
             f"<= {residual_bound:.2e}",
             "-",
             max_residual <= residual_bound,
-        )
-    )
-
-    # Lanczos: 18 iterations, Ritz trace, spuriousness classification.
-    lz_grid = make_grid(12.0, LANCZOS_N_POINTS)
-    H = lz.Hamiltonian(sample_potential(PotentialSpec.gaussian(), lz_grid), 1.0)
-    run = lz.lanczos_run(H, lz.start_vector(lz_grid), 18)
-    history = lz.ritz_history(run, H)
-    with open(out / "lanczos_trace.csv", "w", newline="") as fh:
-        lz.write_trace_csv(history, fh)
-    labelled = lz.classify_pairs(history)
-    lowest_pair, lowest_label = min(labelled, key=lambda pl: pl[0].value)
-    rows.append(
+        ),
         _numeric_row(
             "lanczos_ground_energy",
             lowest_pair.value,
             REFERENCE_LANCZOS_GROUND,
             TOL_LANCZOS_GROUND,
-        )
-    )
-    spurious_pos = [
-        p for p, label in labelled if label == "spurious" and p.value > 0
-    ]
-    ratio = (
-        min(p.delta for p in spurious_pos) / lowest_pair.delta
-        if spurious_pos and lowest_pair.delta > 0
-        else math.inf if spurious_pos else 0.0
-    )
-    detection_ok = (
-        lowest_label == "genuine"
-        and bool(spurious_pos)
-        and ratio >= DELTA_RATIO_MIN
-    )
-    rows.append(
+        ),
         ReportRow(
             "lanczos_spurious_detection",
             f"ground={lowest_label}, positive spurious={len(spurious_pos)}, "
             f"delta ratio={ratio:.3g}",
             f"genuine ground + spurious pair, ratio >= {DELTA_RATIO_MIN:g}",
             "-",
-            detection_ok,
-        )
-    )
-
+            lowest_label == "genuine" and ratio >= DELTA_RATIO_MIN,
+        ),
+    ]
     width = max(len(r.name) for r in rows)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
@@ -499,7 +454,7 @@ class _Command:
     """A config-driven subcommand: the solver it names and its own defaults."""
 
     solver: str
-    run: Callable[[ExperimentConfig, IO[str]], int]
+    run: Callable[[dict, IO[str]], int]
     defaults: dict = field(default_factory=dict)
 
 
@@ -523,7 +478,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _merge_config(args: argparse.Namespace, command: _Command) -> ExperimentConfig:
+def _merge_config(args: argparse.Namespace, command: _Command) -> dict:
     values = {}
     if args.config is not None:
         try:
@@ -531,12 +486,13 @@ def _merge_config(args: argparse.Namespace, command: _Command) -> ExperimentConf
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         values = _parse_values(text)
+    if values.setdefault("solver", command.solver) != command.solver:
+        raise ConfigError(f"solver={values['solver']} does not match this command")
     for key in _KEYS:
         value = getattr(args, key.name, None)
         if value is not None:
             values[key.name] = value
-    values["solver"] = command.solver
-    return ExperimentConfig(values, command.defaults)
+    return _resolve(values, command.defaults)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

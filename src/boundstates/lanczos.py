@@ -34,8 +34,10 @@ class Hamiltonian:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"coupling lam must be positive, got {self.lam!r}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(
+                f"coupling lam must be positive and finite, got {self.lam!r}"
+            )
 
     @property
     def grid(self) -> Grid:
@@ -160,15 +162,11 @@ class RitzPair:
     iteration: int
 
 
-def _delta_value(H: Hamiltonian, psi: np.ndarray, value: float) -> float:
-    hp = _apply_values(H, psi)
-    hhp = _apply_values(H, hp)
-    return abs(value * value - _dot(H.grid, psi, hhp))
-
-
-def delta_check(pair: RitzPair, H: Hamiltonian) -> float:
-    """Residual-norm-squared gauge |e^2 - <psi|H^2|psi>| for a unit pair."""
-    return _delta_value(H, pair.vector.values, pair.value)
+def delta_check(H: Hamiltonian, state: SampledFunction, value: float) -> float:
+    """Residual-norm-squared gauge |e^2 - <psi|H^2|psi>| for a unit state."""
+    check_same_grid(H.grid, state.grid, "state must live on the Hamiltonian's grid")
+    hhp = _apply_values(H, _apply_values(H, state.values))
+    return abs(value * value - _dot(H.grid, state.values, hhp))
 
 
 def _ritz_row(
@@ -180,8 +178,8 @@ def _ritz_row(
         # One product per vector: a batched Z.T @ Q moves the last bits of delta.
         psi = z @ Q
         psi /= _norm(grid, psi)
-        delta = _delta_value(H, psi, value)
-        pairs.append(RitzPair(value, SampledFunction(grid, psi), delta, len(alphas)))
+        state = SampledFunction(grid, psi)
+        pairs.append(RitzPair(value, state, delta_check(H, state, value), len(alphas)))
     return pairs
 
 
@@ -255,10 +253,11 @@ def classify_pairs(history: Sequence[Sequence[RitzPair]]) -> list[tuple[RitzPair
     iterations) is spurious; anything else stays undecided.  Demanding that
     the sequence stay large, rather than grow, matters here: in a growing
     Krylov space the unconverged band pairs' deltas creep downward even
-    though they never approach zero.
+    though they never approach zero.  A history shorter than three
+    iterations leaves every pair undecided.
     """
-    if len(history) < 3:
-        raise ValueError("classification needs at least 3 iterations of history")
+    if not history:
+        raise ValueError("classification needs at least one iteration of history")
     return list(zip(history[-1], _label_history(history)[-1]))
 
 

@@ -36,8 +36,10 @@ class ShootingConfig:
     step: float = 2e-3
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"coupling lam must be positive, got {self.lam!r}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(
+                f"coupling lam must be positive and finite, got {self.lam!r}"
+            )
         if self.parity not in PARITIES:
             raise ValueError(f"parity must be one of {PARITIES}, got {self.parity!r}")
         if not self.half_width > 0 or not self.step > 0:
@@ -168,8 +170,8 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
     k^2 + eps = lam.  Raises ``NoBoundStateError`` for a level the well does
     not have and ``ValueError`` for a bad argument.
     """
-    if not lam > 0:
-        raise ValueError(f"coupling lam must be positive, got {lam!r}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"coupling lam must be positive and finite, got {lam!r}")
     if index < 0:
         raise ValueError(f"level index must be >= 0, got {index!r}")
 

@@ -377,8 +377,10 @@ def invert_curve(curve: LambdaEpsilonCurve, lambda_target: float) -> float:
     Uses a monotone piecewise-cubic interpolant (no overshoot between
     samples) and the Illinois method inside the bracketing interval.
     """
-    if not lambda_target > 0:
-        raise ValueError(f"lambda_target must be positive, got {lambda_target!r}")
+    if not 0 < lambda_target < math.inf:
+        raise ValueError(
+            f"lambda_target must be positive and finite, got {lambda_target!r}"
+        )
     eps = curve.epsilons
     lam = curve.lambdas
     exact = np.nonzero(lam == lambda_target)[0]

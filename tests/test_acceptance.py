@@ -15,7 +15,6 @@ from boundstates import (
     Hamiltonian,
     NoBoundStateError,
     PotentialSpec,
-    RitzPair,
     SampledFunction,
     ShootingConfig,
     bound_state_residual,
@@ -269,7 +268,7 @@ def test_criterion_09_property_suites(gaussian_setup, lanczos_comparison, rng):
         state = SampledFunction(lz_grid, psi)
         hpsi = hamiltonian_apply(H, state).values
         e = hh * np.dot(psi, hpsi)
-        delta = delta_check(RitzPair(e, state, 0.0, 1), H)
+        delta = delta_check(H, state, e)
         resid = hpsi - e * psi
         assert delta == pytest.approx(hh * np.dot(resid, resid), rel=1e-10)
 
@@ -297,7 +296,7 @@ def test_criterion_10_reproduce_paper_command(tmp_path):
     for name in ("run1", "run2"):
         outdir = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-m", "boundstates", "reproduce-paper",
+            [sys.executable, "-W", "error", "-m", "boundstates", "reproduce-paper",
              "--output-dir", str(outdir)],
             capture_output=True,
             text=True,

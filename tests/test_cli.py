@@ -1,12 +1,14 @@
 """Config parsing, subcommand behavior, and the exit-code contract."""
 
+import hashlib
+import io
 import re
 
 import pytest
 
 import boundstates
 from boundstates import ConfigError
-from boundstates.cli import main, parse_config
+from boundstates.cli import main, parse_config, run_reproduce_paper
 from _threshold import gaussian_odd_threshold
 
 
@@ -126,6 +128,15 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "# potential=gaussian\n" in out
         assert "converged=true" in out
+
+    def test_config_solver_must_match_the_command(self, capsys, tmp_path):
+        # A file naming another solver is rejected, not silently overridden.
+        cfgfile = tmp_path / "lz.cfg"
+        cfgfile.write_text("potential=poschl_teller\nsolver=lanczos\nepsilon=1.0\n")
+        assert main(["solve-waxman", "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solver=lanczos does not match this command" in captured.err
 
     def test_solve_waxman_nonconvergence_exits_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "slow.cfg"
@@ -257,22 +268,23 @@ class TestExitCodes:
         assert code == 1
         assert "no closed-form levels" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["analytic", "shooting"])
-    def test_oracle_bad_coupling_is_1(self, method, capsys):
-        # a nonpositive coupling is a usage error whichever route is asked
-        code = main(
-            [
-                "oracle",
-                "--potential",
-                "poschl_teller",
-                "--lambda",
-                "-1",
-                "--method",
-                method,
-            ]
-        )
-        assert code == 1
-        assert "coupling lam must be positive" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--method", "analytic"],
+            ["oracle", "--method", "shooting"],
+            ["solve-lanczos", "--n-points", "161"],
+            ["invert", "--epsilons", "0.6,1.0,1.4", "--n-points", "601"],
+        ],
+        ids=["analytic", "shooting", "lanczos", "invert"],
+    )
+    def test_oracle_bad_coupling_is_1(self, argv, capsys):
+        # a nonpositive or infinite coupling is a usage error whichever route
+        # is asked, reported before any arithmetic can warn
+        for lam in ("-1", "inf"):
+            code = main([*argv, "--potential", "poschl_teller", "--lambda", lam])
+            assert code == 1
+            assert "must be positive and finite" in capsys.readouterr().err
 
     def test_analytic_oracle_missing_level_is_2(self, capsys):
         code = main(
@@ -412,3 +424,38 @@ def test_subcommand_set_is_pinned(capsys):
         main(["--help"])
     choices = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
     assert choices.split(",") == [*HEADER_RUNS, "reproduce-paper"]
+
+
+REPRODUCE_PAPER_STDOUT = """\
+# potential=gaussian half_width=12 n_points=2401 tol=1e-10
+# full sweep: 37 points on [0.1, 1.0]; odd sweep: 23 points
+# threshold tail: 10 points from 0.01 down
+# lanczos: m=18, lambda=1, gaussian start vector, n_points=161
+waxman_ground_energy        computed=-0.477394  reference=-0.479203  tol=0.002  PASS
+shooting_vs_waxman          computed=-0.477390  reference=-0.477394  tol=0.0005  PASS
+odd_sector_min_lambda       computed=1.363355  reference=> 1  tol=-  PASS
+odd_sector_lambda1          computed=no solution  reference=no solution  tol=-  PASS
+excited_threshold           computed=1.341933  reference=1.353480  tol=0.005  FAIL
+waxman_residual_max         computed=2.08e-05  reference=<= 1.00e-03  tol=-  PASS
+lanczos_ground_energy       computed=-0.476961  reference=-0.475917  tol=0.005  PASS
+lanczos_spurious_detection  computed=ground=genuine, positive spurious=1, \
+delta ratio=169  reference=genuine ground + spurious pair, ratio >= 10  tol=-  PASS
+FAILURES PRESENT
+"""
+REPRODUCE_PAPER_CSV_SHA256 = {
+    "lanczos_trace.csv": "e5cadc2f8c7035aded84df7944337cb78e4b6b441ae377b52e9b8babbcc209e8",
+    "waxman_sweep_full.csv": "9a29ec911f0f5306f8059453a1dcb062f59f0044a06ca3cc533274543a16ee94",
+    "waxman_sweep_odd.csv": "099c442b258d51dbaa2411523a2883281b7f8c0a0833d8c07c223ac7fd26f00f",
+}
+
+
+def test_reproduce_paper_output_is_pinned(tmp_path):
+    # The whole report, header lines included, and the bytes of every CSV.
+    stream = io.StringIO()
+    assert run_reproduce_paper(tmp_path, stream) is False
+    assert stream.getvalue() == REPRODUCE_PAPER_STDOUT
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in REPRODUCE_PAPER_CSV_SHA256
+    }
+    assert digests == REPRODUCE_PAPER_CSV_SHA256

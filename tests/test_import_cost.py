@@ -1,7 +1,8 @@
 """scipy stays off the run-time path: no import or CLI command loads it.
 
 Each case runs in a fresh interpreter, since this test session has scipy
-loaded already (the oracles in ``_threshold.py`` use it).
+loaded already (the oracles in ``_threshold.py`` use it).  The interpreter
+runs with ``-W error``, so a command that warns fails here as well.
 """
 
 import os
@@ -32,7 +33,7 @@ def _scipy_modules(*argv):
     src = str(Path(boundstates.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-W", "error", "-c", _PROBE, *argv],
         capture_output=True,
         text=True,
         env=env,

@@ -92,6 +92,8 @@ class TestHamiltonianApply:
         u = SampledFunction(make_grid(12.0, 241), np.ones(241))
         with pytest.raises(GridMismatchError):
             hamiltonian_apply(H, u)
+        with pytest.raises(GridMismatchError):
+            delta_check(H, u, 0.0)
 
     def test_symmetric_on_boundary_vanishing_states(self, rng):
         from boundstates import inner_product
@@ -271,8 +273,7 @@ class TestDeltaCheck:
             state = SampledFunction(g, psi)
             hpsi = hamiltonian_apply(H, state).values
             e = _h_dot(g, psi, hpsi)
-            pair = RitzPair(e, state, 0.0, 1)
-            delta = delta_check(pair, H)
+            delta = delta_check(H, state, e)
             resid = hpsi - e * psi
             norm2 = _h_dot(g, resid, resid)
             assert delta == pytest.approx(norm2, rel=1e-10)
@@ -280,8 +281,7 @@ class TestDeltaCheck:
     def test_exact_eigenpair_zero(self):
         g, H = _coarse_setup()
         value, phi = _ground_eigvec(H)
-        pair = RitzPair(value, phi, 0.0, 1)
-        assert delta_check(pair, H) <= 1e-10
+        assert delta_check(H, phi, value) <= 1e-10
 
 
 class TestClassifyPairs:
@@ -324,12 +324,12 @@ class TestClassifyPairs:
         ]
         assert [lab for _, lab in classify_pairs(history)] == ["undecided"] * 3
 
-    def test_short_history_rejected(self):
+    def test_short_history_is_undecided(self):
+        # Three iterations of deltas are needed to call a track either way.
         g, H = _coarse_setup()
         run = lanczos_run(H, start_vector(g), 2)
         history = ritz_history(run, H)
-        with pytest.raises(ValueError):
-            classify_pairs(history)
+        assert [lab for _, lab in classify_pairs(history)] == ["undecided"] * 2
 
 
 class TestSpectralProperties:
