@@ -11,6 +11,7 @@ tends to zero only for pairs converging to true eigenvectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -37,6 +38,14 @@ class Hamiltonian:
         if not 0 < self.lam < math.inf:
             raise ValueError(
                 f"coupling lam must be positive and finite, got {self.lam!r}"
+            )
+        # Past this bound on ||H||, <psi|H^2 psi> of a unit state can overflow.
+        h, n = self.grid.spacing, self.grid.n_points
+        norm_bound = 4.0 / (h * h) + self.lam * float(np.max(np.abs(self.V.values)))
+        if not norm_bound < math.sqrt(sys.float_info.max * h / n):
+            raise ValueError(
+                f"coupling lam={self.lam!r} is too large: the operator norm "
+                f"bound {norm_bound:.3g} would overflow the delta gauge"
             )
 
     @property
@@ -154,46 +163,52 @@ def tridiagonal_eigen(
 
 @dataclass
 class RitzPair:
-    """Approximate eigenpair in grid space with its spuriousness score."""
+    """Ritz value with its spuriousness score and the iteration that made it.
+
+    The Ritz vector is formed only to score it with the delta gauge and is
+    not kept: the classification and the trace read the value and delta.
+    """
 
     value: float
-    vector: SampledFunction
     delta: float
     iteration: int
+
+
+def _delta(H: Hamiltonian, psi: np.ndarray, value: float) -> float:
+    hhp = _apply_values(H, _apply_values(H, psi))
+    return abs(value * value - _dot(H.grid, psi, hhp))
 
 
 def delta_check(H: Hamiltonian, state: SampledFunction, value: float) -> float:
     """Residual-norm-squared gauge |e^2 - <psi|H^2|psi>| for a unit state."""
     check_same_grid(H.grid, state.grid, "state must live on the Hamiltonian's grid")
-    hhp = _apply_values(H, _apply_values(H, state.values))
-    return abs(value * value - _dot(H.grid, state.values, hhp))
+    return _delta(H, state.values, value)
 
 
 def _ritz_row(
     H: Hamiltonian, alphas: Sequence[float], betas: Sequence[float], Q: np.ndarray
 ) -> list[RitzPair]:
-    grid = H.grid
     pairs = []
     for value, z in tridiagonal_eigen(alphas, betas):
         # One product per vector: a batched Z.T @ Q moves the last bits of delta.
         psi = z @ Q
-        psi /= _norm(grid, psi)
-        state = SampledFunction(grid, psi)
-        pairs.append(RitzPair(value, state, delta_check(H, state, value), len(alphas)))
+        psi /= _norm(H.grid, psi)
+        pairs.append(RitzPair(value, _delta(H, psi, value), len(alphas)))
     return pairs
 
 
 def ritz_pairs(run: LanczosRun, H: Hamiltonian) -> list[RitzPair]:
-    """Assemble grid-space Ritz vectors and score each with the delta gauge."""
+    """Ritz values of the run, each scored by the delta gauge; no vector is kept."""
     Q = np.stack([b.values for b in run.basis])
     return _ritz_row(H, run.alphas, run.betas, Q)
 
 
 def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
-    """Ritz pairs after each iteration 1..m of an existing run.
+    """Scored Ritz values after each iteration 1..m of an existing run.
 
     Truncating the recursion reproduces exactly what a shorter run would
-    have computed, so the history can be sliced out of one full run.
+    have computed, so the history can be sliced out of one full run.  It
+    holds values and deltas only, so its size does not grow with the grid.
     """
     Q = np.stack([b.values for b in run.basis])
     return [

@@ -66,17 +66,6 @@ def kernel_value(kernel: GreensKernel, x, x_prime):
     return float(out) if out.ndim == 0 else out
 
 
-def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(0.5 * h * (y[1:] + y[:-1]), out=out[1:])
-    return out
-
-
-def _rev_cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
-    return _cumtrapz(y[::-1], h)[::-1]
-
-
 class _KernelScan:
     """O(n) applier of the kernel quadrature on a fixed grid.
 
@@ -85,6 +74,7 @@ class _KernelScan:
     quadrature of the kinked integrand exactly, without the dense matrix.
     The weights exp(+-sqrt(eps) x) must fit in a float over the whole box;
     where they do not, the scan raises ``SolverError`` before computing any.
+    The work arrays are allocated once, so repeated applies allocate nothing.
     """
 
     def __init__(self, grid: Grid, epsilon: float, sector: str):
@@ -103,55 +93,72 @@ class _KernelScan:
             x = grid.points[grid.mid_index :]
         self.grow = np.exp(self.s * x)
         self.decay = np.exp(-self.s * x)
+        self._product, self._steps, self._left, self._right = (
+            np.empty_like(x) for _ in range(4)
+        )
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        h = self.grid.spacing
-        two_s = 2.0 * self.s
-        if self.sector == "full":
-            left = _cumtrapz(self.grow * f, h)
-            right = _rev_cumtrapz(self.decay * f, h)
-            return (self.decay * left + self.grow * right) / two_s
+    def _cumtrapz(self, y: np.ndarray, out: np.ndarray) -> None:
+        # Trapezoid running integral of y into out, with out[0] = 0.
+        steps = self._steps[1:]
+        np.add(y[1:], y[:-1], out=steps)
+        steps *= 0.5 * self.grid.spacing
+        out[0] = 0.0
+        np.cumsum(steps, out=out[1:])
+
+    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Kernel image of ``f``, written into ``out`` (which must not alias f)."""
+        if out is None:
+            out = np.empty_like(f)
+        left, right, product = self._left, self._right, self._product
         # Odd sector: integrate the image kernel over x' >= 0 (its natural
         # domain) and extend antisymmetrically.  For odd input this equals
         # the whole-line integral of the plain kernel.
-        mid = self.grid.mid_index
+        mid = 0 if self.sector == "full" else self.grid.mid_index
         fh = f[mid:]
-        left = _cumtrapz(self.grow * fh, h)
-        right = _rev_cumtrapz(self.decay * fh, h)
-        half = (self.decay * (left - right[0]) + self.grow * right) / two_s
-        out = np.empty_like(f)
-        out[mid:] = half
-        out[:mid] = -half[:0:-1]
+        self._cumtrapz(np.multiply(self.grow, fh, out=product), left)
+        np.multiply(self.decay, fh, out=product)
+        self._cumtrapz(product[::-1], right[::-1])  # integral from x to the edge
+        if mid:
+            left -= right[0]
+        left *= self.decay
+        right *= self.grow
+        image = out[mid:]
+        np.add(left, right, out=image)
+        image /= 2.0 * self.s
+        if mid:
+            np.negative(image[:0:-1], out=out[:mid])
         return out
 
 
-def _normalized_step(
-    scan: _KernelScan, Vu: np.ndarray, idx: int
-) -> tuple[np.ndarray, float]:
-    """Kernel image of V*u divided by its value at the reference node.
+def _reference_value(
+    scan: _KernelScan, w: np.ndarray, idx: int, work: np.ndarray | None = None
+) -> float:
+    """The kernel image ``w`` at the reference node, the divisor of each step.
 
-    Returns the normalized image and the divisor.  A divisor below 1e-14 of
-    the image's scale (taken as at least 1) means the map vanishes at the
-    reference node: no admissible coupling exists at this energy, or u has
-    no component along the sector's dominant mode.
+    A value below 1e-14 of the image's scale (taken as at least 1) means the
+    map vanishes at the reference node: no admissible coupling exists at
+    this energy, or u has no component along the sector's dominant mode.
+    ``work``, when given, receives |w|.
     """
-    w = scan.apply(Vu)
     denom = w[idx]
-    if abs(denom) < _DENOMINATOR_FLOOR * max(float(np.max(np.abs(w))), 1.0):
+    if abs(denom) < _DENOMINATOR_FLOOR * max(float(np.abs(w, out=work).max()), 1.0):
         raise NoBoundStateError(
             f"no admissible coupling at epsilon={scan.epsilon:g} "
             f"({scan.sector} sector): kernel integral {denom:.3e} at "
             f"x_ref={scan.grid.points[idx]:g}"
         )
-    return w / denom, denom
+    return denom
 
 
 def _kernel_step(
     kernel: GreensKernel, V: SampledFunction, u: SampledFunction, x_ref: float
 ) -> tuple[np.ndarray, float]:
+    """Kernel image of V*u divided by its value at x_ref, and that divisor."""
     grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
     scan = _KernelScan(grid, kernel.epsilon, kernel.sector)
-    return _normalized_step(scan, V.values * u.values, grid.node_index(x_ref))
+    w = scan.apply(V.values * u.values)
+    denom = _reference_value(scan, w, grid.node_index(x_ref))
+    return w / denom, denom
 
 
 def apply_kernel(
@@ -240,20 +247,26 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
 
     scan = _KernelScan(grid, cfg.epsilon, cfg.sector)
     Vv = V.values
+    # The iterate u, the next one w and the product V*u (also the work array for
+    # the sup-norms) are reused every iteration.  Each is its own allocation,
+    # so the returned state keeps no other loop array alive.
+    w, Vu = np.empty_like(u), np.empty_like(u)
     residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        u_next, _ = _normalized_step(scan, Vv * u, idx)
-        residual = float(np.max(np.abs(u_next - u)))
-        u = u_next
+        scan.apply(np.multiply(Vv, u, out=Vu), out=w)
+        w /= _reference_value(scan, w, idx, Vu)
+        residual = float(np.abs(np.subtract(w, u, out=Vu), out=Vu).max())
+        u, w = w, u
         if residual <= cfg.tol:
             converged = True
             break
 
+    scan.apply(np.multiply(Vv, u, out=Vu), out=w)
     return WaxmanResult(
         u=SampledFunction(grid, u),
-        lam=1.0 / _normalized_step(scan, Vv * u, idx)[1],
+        lam=1.0 / _reference_value(scan, w, idx, Vu),
         epsilon=cfg.epsilon,
         iterations=iterations,
         residual=residual,

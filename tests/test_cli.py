@@ -286,6 +286,13 @@ class TestExitCodes:
             assert code == 1
             assert "must be positive and finite" in capsys.readouterr().err
 
+    def test_lanczos_huge_coupling_is_1(self, capsys):
+        # A finite coupling so large that <psi|H^2 psi> could overflow is
+        # rejected before the recursion runs
+        argv = ["solve-lanczos", "--potential", "poschl_teller", "--n-points", "161"]
+        assert main([*argv, "--lambda", "1e308"]) == 1
+        assert "too large" in capsys.readouterr().err
+
     def test_analytic_oracle_missing_level_is_2(self, capsys):
         code = main(
             [

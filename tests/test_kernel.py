@@ -1,5 +1,7 @@
 """Green's kernel: closed form, quadrature application, defining-ODE check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,15 @@ from boundstates import (
     GridMismatchError,
     PotentialSpec,
     SampledFunction,
+    WaxmanConfig,
     apply_kernel,
+    default_x_ref,
     kernel_value,
     make_grid,
     sample_potential,
+    waxman_fixed_point,
 )
+from boundstates.waxman import _KernelScan
 
 # Identity used below: (-d^2/dx^2 + 1) sech = 2 sech^3, so convolving the
 # unit-energy kernel with sech^2 * sech returns sech / 2.
@@ -146,3 +152,82 @@ class TestDefiningEquation:
             ).values
             errs.append(np.max(np.abs(out - f)))
         assert 3.0 < errs[0] / errs[1] < 5.0
+
+
+def _cumtrapz(y, h):
+    out = np.empty_like(y)
+    out[0] = 0.0
+    np.cumsum(0.5 * h * (y[1:] + y[:-1]), out=out[1:])
+    return out
+
+
+def _rev_cumtrapz(y, h):
+    return _cumtrapz(y[::-1], h)[::-1]
+
+
+def _reference_apply(scan, f):
+    # The allocating form of the scan, one temporary per operation; the
+    # buffered apply must match it bit for bit.
+    h = scan.grid.spacing
+    two_s = 2.0 * scan.s
+    if scan.sector == "full":
+        left = _cumtrapz(scan.grow * f, h)
+        right = _rev_cumtrapz(scan.decay * f, h)
+        return (scan.decay * left + scan.grow * right) / two_s
+    mid = scan.grid.mid_index
+    fh = f[mid:]
+    left = _cumtrapz(scan.grow * fh, h)
+    right = _rev_cumtrapz(scan.decay * fh, h)
+    half = (scan.decay * (left - right[0]) + scan.grow * right) / two_s
+    out = np.empty_like(f)
+    out[mid:] = half
+    out[:mid] = -half[:0:-1]
+    return out
+
+
+def _reference_fixed_point(cfg, V):
+    # The fixed-point loop with a fresh array for every intermediate.
+    grid = V.grid
+    idx = grid.node_index(default_x_ref(grid, cfg.sector))
+    u = np.ones(grid.n_points) if cfg.sector == "full" else grid.points
+    u = u / u[idx]
+    scan = _KernelScan(grid, cfg.epsilon, cfg.sector)
+    residual = math.inf
+    for iterations in range(1, cfg.max_iter + 1):
+        w = _reference_apply(scan, V.values * u)
+        u_next = w / w[idx]
+        residual = float(np.max(np.abs(u_next - u)))
+        u = u_next
+        if residual <= cfg.tol:
+            break
+    w = _reference_apply(scan, V.values * u)
+    return 1.0 / w[idx], iterations, residual, u
+
+
+class TestBufferedScan:
+    """The scan reuses its work arrays; every bit must match the reference."""
+
+    @pytest.mark.parametrize("n_points", [2401, 50001])
+    @pytest.mark.parametrize("sector", ["full", "odd"])
+    def test_apply_bit_identical(self, n_points, sector, rng):
+        g = make_grid(12.0, n_points)
+        V = sample_potential(PotentialSpec.gaussian(), g)
+        for eps in (1e-3, 0.5, 170.0):
+            scan = _KernelScan(g, eps, sector)
+            for _ in range(2):  # the second apply runs on used work arrays
+                f = V.values * rng.normal(size=n_points)
+                expected = _reference_apply(scan, f)
+                assert np.array_equal(scan.apply(f), expected)
+                out = np.full(n_points, np.nan)
+                assert scan.apply(f, out=out) is out
+                assert np.array_equal(out, expected)
+
+    def test_fixed_point_bit_identical(self):
+        g = make_grid(12.0, 50001)
+        V = sample_potential(PotentialSpec.poschl_teller(), g)
+        cfg = WaxmanConfig(epsilon=1.0)
+        res = waxman_fixed_point(cfg, V)
+        lam, iterations, residual, u = _reference_fixed_point(cfg, V)
+        assert res.converged
+        assert (res.lam, res.iterations, res.residual) == (lam, iterations, residual)
+        assert np.array_equal(res.u.values, u)

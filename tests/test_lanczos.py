@@ -1,6 +1,7 @@
 """Lanczos recursion, Ritz extraction, and the spuriousness gauge."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,8 +229,15 @@ class TestRitzPairs:
         pairs = ritz_pairs(run, H)
         values = [p.value for p in pairs]
         assert values == sorted(values)
-        for p in pairs:
-            assert abs(_h_dot(g, p.vector.values, p.vector.values) - 1.0) <= 1e-8
+        # The pairs keep no vectors: rebuild each from the run and re-gauge it.
+        Q = np.stack([b.values for b in run.basis])
+        eigen = tridiagonal_eigen(run.alphas, run.betas)
+        for p, (value, z) in zip(pairs, eigen, strict=True):
+            psi = z @ Q
+            psi /= np.sqrt(_h_dot(g, psi, psi))
+            assert abs(_h_dot(g, psi, psi) - 1.0) <= 1e-8
+            assert p.value == value
+            assert p.delta == delta_check(H, SampledFunction(g, psi), p.value)
             assert p.delta >= 0.0
             assert p.iteration == run.m
 
@@ -261,6 +269,21 @@ class TestRitzPairs:
             assert [(p.value, p.delta) for p in history[k - 1]] == [
                 (p.value, p.delta) for p in short
             ]
+
+    def test_history_holds_no_vectors(self):
+        # 5050 pairs at (n, m) = (2401, 100): keeping each Ritz vector would
+        # take about 97 MB.  numpy reports its buffers to tracemalloc.
+        g = make_grid(12.0, 2401)
+        H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+        run = lanczos_run(H, start_vector(g), 100)
+        tracemalloc.start()
+        try:
+            history = ritz_history(run, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, history)) == 5050
+        assert peak < 8e6
 
 
 class TestDeltaCheck:
@@ -319,7 +342,7 @@ class TestClassifyPairs:
             [(0.05, 0.6), (0.05, 0.01), (0.05, 0.6)],
         ]
         history = [
-            [RitzPair(value, None, delta, k) for value, delta in row]
+            [RitzPair(value, delta, k) for value, delta in row]
             for k, row in enumerate(rows, 1)
         ]
         assert [lab for _, lab in classify_pairs(history)] == ["undecided"] * 3
