@@ -1,8 +1,11 @@
 """Independent ground-truth eigensolvers: outward shooting and closed forms.
 
 Shooting integrates the linear ODE u'' = (eps - lam V) u outward with RK4
-as a pairwise product of renormalized 2x2 step propagators, with V sampled
-once per solve.
+as products of renormalized 2x2 step propagators, with V sampled once per
+solve.  A pairwise product gives the terminal state, whose decay defect the
+root finder refines; a prefix scan gives u at every step node, whose sign
+changes count the levels bound deeper than a trial energy and so certify
+which level the refined bracket holds.
 
 These deliberately share no machinery with the kernel or Lanczos solvers
 (different discretization, different algorithm family), so agreement
@@ -16,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoBoundStateError
+from .errors import NoBoundStateError, SolverError
 from .grid import find_root
 from .potentials import PotentialSpec, peak_value, potential_pieces
 
 PARITIES = ("even", "odd")
-# Energies on the sign-change scan of the bracket, and the Illinois xtol.
-_PRESCAN = 50
+# The Illinois xtol on the binding energy.
 _XTOL = 1e-10
 
 
@@ -65,21 +67,24 @@ def _sample(
     return np.concatenate(widths), np.concatenate(values, axis=1)
 
 
-def _terminal_state(
-    cfg: ShootingConfig, samples, epsilon: float
-) -> tuple[float, float]:
-    """Integrate u'' = (eps - lam V) u outward from x = 0 to the boundary.
+def _step_matrices(cfg: ShootingConfig, samples, epsilon: float) -> np.ndarray:
+    """RK4 step propagators of u'' = (eps - lam V) u, as m[row, column, step].
 
     One classic fourth-order Runge-Kutta step of the linear ODE is a 2x2
-    matrix whose columns are the step applied to the unit states.  The
-    terminal state is the ordered product of the step matrices, reduced
-    pairwise.  Each product at each level is divided by the power of two
-    that brings its largest entry into [1/2, 1): exact, never overflowing,
-    and neutral to every sign and scale-invariant functional of (u, u').
+    matrix whose columns are the step applied to the unit states (u, u') =
+    (1, 0) and (0, 1), the even and odd initial states; its rows are u and
+    u'.  Raises ``SolverError`` when a
+    step is too coarse for the well, h sqrt(lam max V) > 1: there RK4 loses
+    its accuracy, at least one node of u can fall between two step nodes,
+    and a huge coupling would overflow the matrices.
     """
     h, v = samples
+    if cfg.lam * float((h * h * v).max()) > 1.0:
+        raise SolverError(
+            f"step {cfg.step:g} cannot resolve the well at lam={cfg.lam:g}: "
+            "h * sqrt(lam * max V) exceeds 1"
+        )
     qa, qm, qb = epsilon - cfg.lam * v
-    # Both unit states at once, indexed by column: (u, u') = (1, 0) and (0, 1).
     u, up = np.eye(2)[:, :, None]
     k1u = up
     k1p = qa * u
@@ -91,16 +96,56 @@ def _terminal_state(
     k4p = qb * (u + h * k3u)
     u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     up = up + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    m = np.stack([u, up])  # m[row, column, step]; rows are u and u'
+    return np.stack([u, up])
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Products later @ earlier of stacks of 2x2 matrices, renormalized.
+
+    Each product is divided by the power of two that brings its largest entry
+    into [1/2, 1): exact, never overflowing, and neutral to every sign and
+    scale-invariant functional of (u, u').
+    """
+    prod = later[:, :1] * earlier[0] + later[:, 1:] * earlier[1]
+    return np.ldexp(prod, -np.frexp(np.abs(prod).max(axis=(0, 1)))[1])
+
+
+def _terminal_state(
+    cfg: ShootingConfig, samples, epsilon: float
+) -> tuple[float, float]:
+    """Integrate u'' = (eps - lam V) u outward from x = 0 to the boundary.
+
+    The terminal state is the ordered product of the step matrices, reduced
+    pairwise.
+    """
+    m = _step_matrices(cfg, samples, epsilon)
     while m.shape[-1] > 1:
-        later, earlier = m[..., 1::2], m[..., :-1:2]
-        prod = later[:, :1] * earlier[0] + later[:, 1:] * earlier[1]
-        if m.shape[-1] % 2:
-            prod = np.concatenate([prod, m[..., -1:]], axis=-1)
-        scale = np.abs(prod).max(axis=(0, 1))
-        m = np.ldexp(prod, -np.frexp(scale)[1])
-    u, up = m[:, 0 if cfg.parity == "even" else 1, 0]
+        prod = _compose(m[..., 1::2], m[..., :-1:2])
+        m = np.concatenate([prod, m[..., -1:]], axis=-1) if m.shape[-1] % 2 else prod
+    u, up = m[:, PARITIES.index(cfg.parity), 0]
     return float(u), float(up)
+
+
+def _node_count(cfg: ShootingConfig, samples, epsilon: float) -> int:
+    """Sturm count: the levels of the parity with binding energy above eps.
+
+    An inclusive prefix scan of the step matrices (Hillis-Steele: each pass
+    composes every prefix with the one ``d`` steps earlier, d = 1, 2, 4, ...)
+    gives u at every step node.  The count is the number of sign changes of
+    u on (0, L], plus 1 when (u'(L) + sqrt(eps) u(L)) u(L) < 0, that is when
+    the decaying tail would add one more node beyond L (Johnson, J. Chem.
+    Phys. 67, 4086, 1977).  A step resolves the well, so u changes sign at
+    most once between two nodes.
+    """
+    m = _step_matrices(cfg, samples, epsilon)
+    d = 1
+    while d < m.shape[-1]:
+        m[..., d:] = _compose(m[..., d:], m[..., :-d])
+        d *= 2
+    u, up = m[:, PARITIES.index(cfg.parity)]
+    negative = u < 0
+    nodes = int(np.count_nonzero(negative[1:] != negative[:-1])) + int(negative[0])
+    return nodes + int((up[-1] + math.sqrt(epsilon) * u[-1]) * u[-1] < 0)
 
 
 def shoot_mismatch(
@@ -121,44 +166,48 @@ def shoot_mismatch(
 
 def _decay_defect(cfg: ShootingConfig, samples, epsilon: float) -> float:
     # Numerator of the mismatch: u'(L) + sqrt(eps) u(L).  Shares its root with
-    # the mismatch but crosses zero at O(1) scale, so a coarse scan can
-    # bracket it (the mismatch itself dips and recovers within an
+    # the mismatch but crosses zero at O(1) scale, so the root finder sees a
+    # simple sign change (the mismatch itself dips and recovers within an
     # exponentially narrow energy window around the root).
     u, up = _terminal_state(cfg, samples, epsilon)
     return up + math.sqrt(epsilon) * u
 
 
 def shooting_eigenvalue(cfg: ShootingConfig, potential: PotentialSpec) -> float:
-    """Binding energy of the lowest state of the given parity, by the Illinois method.
+    """Binding energy of the lowest state of the given parity, in a certified bracket.
 
-    Samples V once, scans the bracket (1e-4, lam * max V) for sign changes of
-    the decay defect (one propagator product per energy) and refines the one
-    at the largest binding energy (the deepest level of the parity).
-    Renormalizing the products keeps every sign, so wide boxes and deep wells
-    cannot overflow.
+    Samples V once.  The node count N(eps) of ``_node_count`` says how many
+    levels of the parity lie in (eps, lam * max V): none at 1e-4 raises
+    ``NoBoundStateError``, and otherwise bisection on N shrinks the bracket
+    until it holds the deepest level alone, N(lo) = 1 and N(hi) = 0 (the
+    certificate of SLEIGN2, Bailey, Everitt & Zettl, ACM TOMS 27, 143,
+    2001).  The Illinois method then finds the root of the decay defect in
+    that bracket.  Renormalizing the products keeps every sign, so wide
+    boxes and deep wells cannot overflow.
     """
     samples = _sample(cfg, potential)
     lo, hi = 1e-4, cfg.lam * peak_value(potential)
     if not lo < hi:
         raise ValueError(f"empty bracket ({lo:g}, {hi:g})")
-
-    grid = np.linspace(lo, hi, _PRESCAN)
-    defects = [_decay_defect(cfg, samples, float(e)) for e in grid]
-    ends = None
-    for i, f in enumerate(defects):
-        if f == 0.0:
-            return float(grid[i])
-        if i and defects[i - 1] * f < 0:
-            ends = {float(grid[j]): defects[j] for j in (i - 1, i)}
-    if ends is None:
+    levels = _node_count(cfg, samples, lo)
+    if levels < 1:
         raise NoBoundStateError(
             f"no level in bracket ({lo:g}, {hi:g}) for lam={cfg.lam:g}, "
             f"parity={cfg.parity}"
         )
-
-    def defect(e: float) -> float:  # the scan already shot the bracket ends
-        return ends[e] if e in ends else _decay_defect(cfg, samples, e)
-    return float(find_root(defect, *ends, _XTOL))
+    while levels > 1:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise SolverError(
+                f"cannot separate the two deepest {cfg.parity} levels "
+                f"near {lo!r} for lam={cfg.lam:g}"
+            )
+        count = _node_count(cfg, samples, mid)
+        if count:
+            lo, levels = mid, count
+        else:
+            hi = mid
+    return float(find_root(lambda e: _decay_defect(cfg, samples, e), lo, hi, _XTOL))
 
 
 def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
@@ -167,8 +216,9 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
     Supports the sech^2 well, where with s(s+1) = lam the levels sit at
     (s - n)^2 for 0 <= n < s, and the square well, where level n solves
     k tan(ka) = sqrt(eps) (n even) or -k cot(ka) = sqrt(eps) (n odd) with
-    k^2 + eps = lam.  Raises ``NoBoundStateError`` for a level the well does
-    not have and ``ValueError`` for a bad argument.
+    k^2 + eps = lam on the branch n pi/2 < ka < (n + 1) pi/2.  Raises
+    ``NoBoundStateError`` for a level the well does not have and
+    ``ValueError`` for a bad argument.
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"coupling lam must be positive and finite, got {lam!r}")
@@ -176,7 +226,9 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
         raise ValueError(f"level index must be >= 0, got {index!r}")
 
     if spec.kind == "poschl_teller":
-        s = 0.5 * (math.sqrt(1.0 + 4.0 * lam) - 1.0)
+        # s = (sqrt(1 + 4 lam) - 1) / 2, in a form that neither cancels at small
+        # lam nor overflows at huge lam.
+        s = lam / (math.sqrt(lam + 0.25) + 0.5)
         if index >= s:
             raise NoBoundStateError(
                 f"sech^2 well with lam={lam:g} has no level {index} "
@@ -192,28 +244,19 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
             raise NoBoundStateError(
                 f"square well with lam={lam:g}, a={a:g} has no level {index}"
             )
-        hi = min((index + 1) * math.pi / 2.0, theta_max)
+        # One ulp past the rounded branch end keeps a root that lies within
+        # rounding of the end inside the bracket.
+        hi = min(math.nextafter((index + 1) * math.pi / 2.0, math.inf), theta_max)
 
         def f(theta):
-            lhs = theta * math.tan(theta) if index % 2 == 0 else -theta / math.tan(theta)
-            return lhs - math.sqrt(max(lam * a * a - theta * theta, 0.0))
+            # The branch equation times cos(theta) (n even) or sin(theta)
+            # (n odd): no pole, and exactly one sign change on (lo, hi).
+            r = math.sqrt(max(theta_max - theta, 0.0)) * math.sqrt(theta_max + theta)
+            if index % 2 == 0:
+                return theta * math.sin(theta) - r * math.cos(theta)
+            return theta * math.cos(theta) + r * math.sin(theta)
 
-        # The root is simple and the function monotone on the branch; a short
-        # scan locates the sign change away from the branch endpoints.
-        thetas = np.linspace(lo + 1e-12 * (1 + lo), hi, 256)
-        vals = [f(float(t)) for t in thetas]
-        for i in range(len(thetas) - 1):
-            if vals[i] == 0.0:
-                theta = float(thetas[i])
-                break
-            if vals[i] * vals[i + 1] < 0:
-                theta = find_root(f, float(thetas[i]), float(thetas[i + 1]), 1e-13)
-                break
-        else:
-            raise NoBoundStateError(
-                f"square well with lam={lam:g}, a={a:g} has no level {index}"
-            )
-        eps = lam - (theta / a) ** 2
+        eps = lam - (find_root(f, lo, hi, 1e-13) / a) ** 2
         if eps <= 0:
             raise NoBoundStateError(
                 f"square well with lam={lam:g}, a={a:g} has no bound level {index}"

@@ -2,7 +2,12 @@
 
 import hashlib
 import io
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +240,57 @@ class TestSubcommands:
         assert code == 0
         assert "genuine" in out
         assert trace.read_text().splitlines()[0] == "iteration,ritz_index,value,delta,label"
+
+
+def _epsilon(out: str) -> float:
+    return float(next(l for l in out.splitlines() if l.startswith("epsilon=")).split("=")[1])
+
+
+def _run_child(*argv):
+    """Exit code, stdout and stderr of ``boundstates *argv`` in a fresh
+    interpreter that turns every warning into an error."""
+    env = dict(os.environ)
+    src = str(Path(boundstates.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "boundstates", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestOracleLevels:
+    def test_deep_square_well_gives_the_ground_level(self, capsys):
+        # The two deepest even levels (49.93 and 49.41) lie within lam / 50 of
+        # each other; the node count keeps the solve on the deeper one.
+        argv = ["oracle", "--potential", "square_well", "--well-half-width", "6"]
+        assert main([*argv, "--lambda", "50"]) == 0
+        assert _epsilon(capsys.readouterr().out) == pytest.approx(
+            49.93458194912143, abs=1e-6
+        )
+
+    @pytest.mark.parametrize(
+        "well",
+        [["poschl_teller"], ["square_well", "--well-half-width", "1"]],
+        ids=["poschl_teller", "square_well"],
+    )
+    def test_analytic_huge_coupling_is_finite(self, well):
+        # s(s+1) = lam must not overflow, and the even square-well root next
+        # to pi/2 must be found: every square well binds an even level.
+        argv = ["oracle", "--method", "analytic", "--potential", *well]
+        code, out, err = _run_child(*argv, "--lambda", "1e308")
+        assert (code, err) == (0, "")
+        eps = _epsilon(out)
+        assert math.isfinite(eps)
+        assert eps == pytest.approx(1e308, rel=1e-12)
+
+    def test_shooting_huge_coupling_is_2(self):
+        # The step cannot resolve the well: a typed error before any overflow.
+        code, out, err = _run_child("oracle", "--potential", "poschl_teller", "--lambda", "1e308")
+        assert code == 2
+        assert "cannot resolve the well" in err
 
 
 class TestExitCodes:

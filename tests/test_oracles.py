@@ -1,14 +1,18 @@
 """Shooting integrator and closed-form levels: the independent ground truth."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from boundstates import shooting
+from boundstates.shooting import PARITIES
 from boundstates import (
     NoBoundStateError,
     PotentialSpec,
     ShootingConfig,
+    SolverError,
     analytic_level,
     shoot_mismatch,
     shooting_eigenvalue,
@@ -30,6 +34,24 @@ GAUSSIAN_EPS_LAM1 = gaussian_ground_level(1.0)
 PI2_OVER_4 = math.pi**2 / 4.0
 
 REPORTED_GROUND_EPS = 0.479203
+
+# (a, lam, parity) of square wells whose two deepest levels of the parity
+# both lie in one cell of a 50-energy scan of (1e-4, lam).
+DEEP_SQUARE_WELLS = [
+    (2.0, 400.0, "even"),
+    (3.0, 200.0, "even"),
+    (3.0, 400.0, "odd"),
+    (4.0, 100.0, "even"),
+    (4.0, 200.0, "odd"),
+    (4.0, 400.0, "even"),
+    (4.0, 400.0, "odd"),
+    (6.0, 50.0, "even"),
+    (6.0, 100.0, "odd"),
+    (6.0, 200.0, "even"),
+    (6.0, 200.0, "odd"),
+    (6.0, 400.0, "even"),
+    (6.0, 400.0, "odd"),
+]
 
 
 class TestShootMismatch:
@@ -67,23 +89,30 @@ class TestShootingEigenvalue:
         assert eps == pytest.approx(GAUSSIAN_EPS_LAM1, abs=1e-6)
 
     def test_gaussian_ground_refine_is_superlinear(self, monkeypatch):
-        # 50 scan energies plus 6 Illinois iterates; the refine reuses the
-        # scan's defects at the bracket ends, and a silent fallback to
-        # bisection would take about 79 shots.  The level may move from the
+        # One node count, N(1e-4) = 1, certifies that the whole bracket
+        # (1e-4, 1) holds the ground level alone; the Illinois method then
+        # shoots both ends and 11 iterates, where a silent fallback to
+        # bisection would take about 36 shots.  The level may move from the
         # one Brent's method gave (0.4773899773796127) by well under the
         # 1e-6 the printed table resolves.
-        calls = []
-        terminal_state = shooting._terminal_state
+        shots, counts = [], []
+        terminal_state, node_count = shooting._terminal_state, shooting._node_count
 
-        def counted(*args):
-            calls.append(args[-1])
-            assert len(calls) <= 56, "the solve took more than 56 shots"
+        def counted_shot(*args):
+            shots.append(args[-1])
+            assert len(shots) <= 13, "the solve took more than 13 shots"
             return terminal_state(*args)
 
-        monkeypatch.setattr(shooting, "_terminal_state", counted)
+        def counted_count(*args):
+            counts.append(args[-1])
+            return node_count(*args)
+
+        monkeypatch.setattr(shooting, "_terminal_state", counted_shot)
+        monkeypatch.setattr(shooting, "_node_count", counted_count)
         cfg = ShootingConfig(lam=1.0, parity="even")
         eps = shooting_eigenvalue(cfg, PotentialSpec.gaussian())
         assert eps == pytest.approx(0.4773899773796127, abs=1e-10)
+        assert counts == [1e-4]
 
     def test_step_halving_stability(self):
         base = shooting_eigenvalue(
@@ -127,6 +156,23 @@ class TestShootingEigenvalue:
             analytic_level(spec, 200.0, 0), abs=1e-6
         )
         assert len(recwarn) == 0
+
+    def test_unresolved_well_raises(self):
+        # h sqrt(lam max V) = 2 at lam = 1e6: RK4 would miss the level by 8e3
+        # and could step over a node.  At lam = 1e308 the step matrices would
+        # overflow.
+        spec = PotentialSpec.poschl_teller()
+        for lam in (1e6, 1e308):
+            with pytest.raises(SolverError, match="cannot resolve the well"):
+                shooting_eigenvalue(ShootingConfig(lam=lam, parity="even"), spec)
+
+    def test_resolved_deep_well_matches_closed_form(self):
+        # h sqrt(lam max V) = 0.63 at lam = 1e5, inside the resolution bound
+        spec = PotentialSpec.poschl_teller()
+        cfg = ShootingConfig(lam=1e5, parity="even")
+        assert shooting_eigenvalue(cfg, spec) == pytest.approx(
+            analytic_level(spec, 1e5, 0), rel=1e-6
+        )
 
     def test_bare_callable_potential_rejected(self):
         cfg = ShootingConfig(lam=2.0, parity="even")
@@ -173,6 +219,12 @@ class TestSelfConsistency:
             (PotentialSpec.poschl_teller(), 6.0, "odd", 1),
             (PotentialSpec.square_well(1.0), 1.0, "even", 0),
             (PotentialSpec.square_well(1.0), 3.0, "even", 0),
+            # Deep square wells, whose deepest levels of one parity lie
+            # closer together than lam / 50.
+            *(
+                (PotentialSpec.square_well(a), lam, parity, PARITIES.index(parity))
+                for a, lam, parity in DEEP_SQUARE_WELLS
+            ),
         ],
     )
     def test_agreement(self, spec, lam, parity, index):
@@ -180,6 +232,49 @@ class TestSelfConsistency:
         assert shooting_eigenvalue(cfg, spec) == pytest.approx(
             analytic_level(spec, lam, index), abs=1e-6
         )
+
+
+def _levels_deeper_than(spec, lam, parity, eps):
+    """Levels of the parity with binding energy above eps, by closed form."""
+    count = 0
+    for index in itertools.count(PARITIES.index(parity), 2):
+        try:
+            level = analytic_level(spec, lam, index)
+        except NoBoundStateError:
+            return count
+        count += level > eps
+
+
+class TestNodeCount:
+    """The Sturm count certifies every level index of the parity."""
+
+    @pytest.mark.parametrize("parity", PARITIES)
+    @pytest.mark.parametrize(
+        "spec,lam",
+        [
+            *((PotentialSpec.poschl_teller(), lam) for lam in (2.0, 12.0, 30.0, 200.0)),
+            *((PotentialSpec.square_well(1.0), lam) for lam in (4.0, 20.0, 40.0)),
+        ],
+        ids=lambda p: p.kind if isinstance(p, PotentialSpec) else None,
+    )
+    def test_count_matches_closed_form(self, spec, lam, parity):
+        cfg = ShootingConfig(lam=lam, parity=parity)
+        samples = shooting._sample(cfg, spec)
+        for eps in np.linspace(1e-3, 0.999 * lam, 20):
+            assert shooting._node_count(cfg, samples, eps) == _levels_deeper_than(
+                spec, lam, parity, eps
+            ), f"N({eps:g})"
+
+    @pytest.mark.parametrize("parity", PARITIES)
+    def test_count_steps_at_the_level_when_its_new_node_is_past_the_box(self, parity):
+        # In a box of half-width 4 the node a level adds as eps falls through
+        # it first appears beyond L, where only the decay-defect term counts it.
+        spec = PotentialSpec.poschl_teller()
+        cfg = ShootingConfig(lam=6.0, parity=parity, half_width=4.0)
+        level = shooting_eigenvalue(cfg, spec)
+        samples = shooting._sample(cfg, spec)
+        counts = [shooting._node_count(cfg, samples, level + d) for d in (-1e-6, 1e-6)]
+        assert counts == [1, 0]
 
 
 class TestGroundLevelOracle:
