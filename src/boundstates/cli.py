@@ -69,15 +69,19 @@ _KEYS = (
     _Key("output", str, flag="--output"),
 )
 _BY_NAME = {key.name: key for key in _KEYS}
-_REQUIRED_KEYS = ("potential",)
 
 
-def _resolve(values: dict, defaults: dict) -> dict:
-    """Every key, by precedence key default < command default < keys as set."""
-    missing = [name for name in _REQUIRED_KEYS if name not in values]
+def _resolve(values: dict, defaults: dict, required: tuple[str, ...] = ()) -> dict:
+    """Every key, by precedence key default < command default < keys as set.
+
+    Raises ``ConfigError`` naming every key of ``potential`` and ``required``
+    that is still unset.
+    """
+    cfg = {key.name: key.default for key in _KEYS} | defaults | values
+    missing = [name for name in ("potential", *required) if cfg[name] is None]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    return {key.name: key.default for key in _KEYS} | defaults | values
+    return cfg
 
 
 def _parse_value(key: _Key, raw: str, line_no: int):
@@ -160,13 +164,6 @@ def _waxman_overrides(cfg: dict) -> dict:
     return {name: cfg[name] for name in ("x_ref", "tol", "max_iter")}
 
 
-def _require(cfg: dict, name: str):
-    value = cfg[name]
-    if value is None:
-        raise ConfigError(f"missing required key for this command: {name}")
-    return value
-
-
 def _write_csv(path: str | Path, write: Callable, rows) -> None:
     with open(path, "w", newline="") as fh:
         write(rows, fh)
@@ -189,9 +186,8 @@ def _lanczos_trace(
 
 def _cmd_solve_waxman(cfg: dict, stream: IO[str]) -> int:
     V = _build_potential(cfg)
-    epsilon = _require(cfg, "epsilon")
     solve = wx.WaxmanConfig(
-        epsilon=epsilon, sector=cfg["sector"], **_waxman_overrides(cfg)
+        epsilon=cfg["epsilon"], sector=cfg["sector"], **_waxman_overrides(cfg)
     )
     result = wx.waxman_fixed_point(solve, V)
     _print_header(cfg, stream)
@@ -211,10 +207,9 @@ def _cmd_solve_waxman(cfg: dict, stream: IO[str]) -> int:
 
 def _cmd_sweep(cfg: dict, stream: IO[str]) -> int:
     V = _build_potential(cfg)
-    epsilons = _require(cfg, "epsilons")
-    output = _require(cfg, "output")
+    output = cfg["output"]
     points = wx.sweep_results(
-        epsilons, V, sector=cfg["sector"], **_waxman_overrides(cfg)
+        cfg["epsilons"], V, sector=cfg["sector"], **_waxman_overrides(cfg)
     )
     _write_csv(output, wx.write_sweep_csv, points)
     _print_header(cfg, stream)
@@ -229,14 +224,12 @@ def _cmd_sweep(cfg: dict, stream: IO[str]) -> int:
 
 def _cmd_invert(cfg: dict, stream: IO[str]) -> int:
     V = _build_potential(cfg)
-    epsilons = _require(cfg, "epsilons")
-    lam_target = _require(cfg, "lambda")
     curve = wx.sweep_epsilon(
-        epsilons, V, sector=cfg["sector"], **_waxman_overrides(cfg)
+        cfg["epsilons"], V, sector=cfg["sector"], **_waxman_overrides(cfg)
     )
-    epsilon = wx.invert_curve(curve, lam_target)
+    epsilon = wx.invert_curve(curve, cfg["lambda"])
     _print_header(cfg, stream)
-    stream.write(f"lambda={lam_target:.17g}\n")
+    stream.write(f"lambda={cfg['lambda']:.17g}\n")
     stream.write(f"epsilon={epsilon:.17g}\n")
     stream.write(f"energy={-epsilon:.17g}\n")
     return 0
@@ -451,19 +444,20 @@ def run_reproduce_paper(
 
 @dataclass(frozen=True)
 class _Command:
-    """A config-driven subcommand: the solver it names and its own defaults."""
+    """A config-driven subcommand: its solver, required keys and own defaults."""
 
     solver: str
     run: Callable[[dict, IO[str]], int]
+    required: tuple[str, ...] = ()
     defaults: dict = field(default_factory=dict)
 
 
 _COMMANDS = {
-    "solve-waxman": _Command("waxman", _cmd_solve_waxman),
-    "sweep": _Command("waxman", _cmd_sweep),
-    "invert": _Command("waxman", _cmd_invert),
+    "solve-waxman": _Command("waxman", _cmd_solve_waxman, ("epsilon",)),
+    "sweep": _Command("waxman", _cmd_sweep, ("epsilons", "output")),
+    "invert": _Command("waxman", _cmd_invert, ("epsilons",)),
     "threshold": _Command(
-        "waxman", _cmd_threshold, {"sector": "odd", "epsilon_tail": THRESHOLD_TAIL}
+        "waxman", _cmd_threshold, (), {"sector": "odd", "epsilon_tail": THRESHOLD_TAIL}
     ),
     "solve-lanczos": _Command("lanczos", _cmd_solve_lanczos),
     "oracle": _Command("oracle", _cmd_oracle),
@@ -492,7 +486,7 @@ def _merge_config(args: argparse.Namespace, command: _Command) -> dict:
         value = getattr(args, key.name, None)
         if value is not None:
             values[key.name] = value
-    return _resolve(values, command.defaults)
+    return _resolve(values, command.defaults, command.required)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

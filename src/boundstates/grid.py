@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +31,7 @@ class Grid:
 
     def node_index(self, x: float) -> int:
         """Index of the node at coordinate ``x``; raises if x is off-grid."""
-        i = int(round((x + self.half_width) / self.spacing))
+        i = int(round((x + self.half_width) / self.spacing)) if math.isfinite(x) else -1
         if (
             i < 0
             or i >= self.n_points
@@ -55,13 +56,18 @@ def check_same_grid(grid: Grid, other: Grid, message: str) -> Grid:
     return other
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def make_grid(half_width: float, n_points: int) -> Grid:
     """Build a symmetric uniform grid with ``n_points`` nodes on [-L, L].
 
     ``n_points`` must be odd so that x = 0 is a node.
     """
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width!r}")
+    check_positive("half_width", half_width)
     n_points = int(n_points)
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"n_points must be an odd integer >= 3, got {n_points}")

@@ -17,7 +17,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, check_same_grid
+from .grid import Grid, SampledFunction, check_positive, check_same_grid
 
 # Classification thresholds: delta below TAU_ZERO and falling reads as a
 # genuine bound pair, delta above TAU_SPUR and not falling as spurious;
@@ -35,10 +35,7 @@ class Hamiltonian:
     lam: float
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError(
-                f"coupling lam must be positive and finite, got {self.lam!r}"
-            )
+        check_positive("coupling lam", self.lam)
         # Past this bound on ||H||, <psi|H^2 psi> of a unit state can overflow.
         h, n = self.grid.spacing, self.grid.n_points
         norm_bound = 4.0 / (h * h) + self.lam * float(np.max(np.abs(self.V.values)))

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, SampledFunction
+from .grid import Grid, SampledFunction, check_positive
 
 KINDS = ("gaussian", "poschl_teller", "square_well", "table")
 
@@ -34,8 +34,9 @@ class PotentialSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "square_well":
-            if self.a is None or not self.a > 0:
-                raise ValueError("square_well requires a positive half-width a")
+            if self.a is None:
+                raise ValueError("square_well requires a half-width a")
+            check_positive("square_well half-width a", self.a)
         elif self.a is not None:
             raise ValueError(f"{self.kind} takes no half-width parameter")
         if self.kind == "table":

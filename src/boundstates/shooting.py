@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBoundStateError, SolverError
-from .grid import find_root
+from .grid import check_positive, find_root
 from .potentials import PotentialSpec, peak_value, potential_pieces
 
 PARITIES = ("even", "odd")
@@ -38,14 +38,11 @@ class ShootingConfig:
     step: float = 2e-3
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError(
-                f"coupling lam must be positive and finite, got {self.lam!r}"
-            )
+        check_positive("coupling lam", self.lam)
         if self.parity not in PARITIES:
             raise ValueError(f"parity must be one of {PARITIES}, got {self.parity!r}")
-        if not self.half_width > 0 or not self.step > 0:
-            raise ValueError("half_width and step must both be positive")
+        check_positive("half_width", self.half_width)
+        check_positive("step", self.step)
 
 
 def _sample(
@@ -156,8 +153,7 @@ def shoot_mismatch(
     Vanishes at an eigenvalue, where the outward solution matches the
     decaying exponential.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    check_positive("epsilon", epsilon)
     u, up = _terminal_state(cfg, _sample(cfg, potential), epsilon)
     if u == 0.0:
         return math.copysign(math.inf, up)
@@ -187,13 +183,11 @@ def shooting_eigenvalue(cfg: ShootingConfig, potential: PotentialSpec) -> float:
     """
     samples = _sample(cfg, potential)
     lo, hi = 1e-4, cfg.lam * peak_value(potential)
-    if not lo < hi:
-        raise ValueError(f"empty bracket ({lo:g}, {hi:g})")
-    levels = _node_count(cfg, samples, lo)
+    # No level binds deeper than lam * max V, so an empty bracket holds none.
+    levels = _node_count(cfg, samples, lo) if lo < hi else 0
     if levels < 1:
         raise NoBoundStateError(
-            f"no level in bracket ({lo:g}, {hi:g}) for lam={cfg.lam:g}, "
-            f"parity={cfg.parity}"
+            f"no {cfg.parity} level bound deeper than {lo:g} for lam={cfg.lam:g}"
         )
     while levels > 1:
         mid = 0.5 * (lo + hi)
@@ -217,11 +211,11 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
     (s - n)^2 for 0 <= n < s, and the square well, where level n solves
     k tan(ka) = sqrt(eps) (n even) or -k cot(ka) = sqrt(eps) (n odd) with
     k^2 + eps = lam on the branch n pi/2 < ka < (n + 1) pi/2.  Raises
-    ``NoBoundStateError`` for a level the well does not have and
-    ``ValueError`` for a bad argument.
+    ``NoBoundStateError`` for a level the well does not have,
+    ``SolverError`` for one that underflows to 0, and ``ValueError`` for a
+    bad argument.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError(f"coupling lam must be positive and finite, got {lam!r}")
+    check_positive("coupling lam", lam)
     if index < 0:
         raise ValueError(f"level index must be >= 0, got {index!r}")
 
@@ -234,9 +228,8 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
                 f"sech^2 well with lam={lam:g} has no level {index} "
                 f"(supports indices below {s:g})"
             )
-        return (s - index) ** 2
-
-    if spec.kind == "square_well":
+        eps = (s - index) ** 2
+    elif spec.kind == "square_well":
         a = spec.a
         theta_max = math.sqrt(lam) * a
         lo = index * math.pi / 2.0
@@ -256,11 +249,22 @@ def analytic_level(spec: PotentialSpec, lam: float, index: int) -> float:
                 return theta * math.sin(theta) - r * math.cos(theta)
             return theta * math.cos(theta) + r * math.sin(theta)
 
-        eps = lam - (find_root(f, lo, hi, 1e-13) / a) ** 2
-        if eps <= 0:
-            raise NoBoundStateError(
-                f"square well with lam={lam:g}, a={a:g} has no bound level {index}"
-            )
-        return eps
-
-    raise ValueError(f"no closed-form levels for potential kind {spec.kind!r}")
+        theta = find_root(f, lo, hi, 1e-13 * hi)
+        eps = lam - (theta / a) ** 2
+        if eps < 0.5 * lam:
+            # Near threshold lam - (theta / a)^2 cancels; the branch equation
+            # gives sqrt(eps) a = theta tan(theta) or -theta cot(theta) instead.
+            # Deep levels keep the difference, which is the accurate form there.
+            t = math.tan(theta)
+            kappa = theta * t if index % 2 == 0 else -theta / t
+            if not kappa > 0:
+                raise NoBoundStateError(
+                    f"square well with lam={lam:g}, a={a:g} has no bound "
+                    f"level {index}"
+                )
+            eps = (kappa / a) ** 2
+    else:
+        raise ValueError(f"no closed-form levels for potential kind {spec.kind!r}")
+    if eps == 0.0:
+        raise SolverError(f"level {index} at lam={lam:g} underflows to 0")
+    return eps

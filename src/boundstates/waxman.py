@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import NoBoundStateError, SolverError
-from .grid import Grid, SampledFunction, check_same_grid, find_root
+from .grid import Grid, SampledFunction, check_positive, check_same_grid, find_root
 
 SECTORS = ("full", "odd")
 
@@ -44,8 +44,7 @@ class GreensKernel:
     sector: str = "full"
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        check_positive("epsilon", self.epsilon)
         if self.sector not in SECTORS:
             raise ValueError(f"sector must be one of {SECTORS}, got {self.sector!r}")
 
@@ -129,25 +128,25 @@ class _KernelScan:
             np.negative(image[:0:-1], out=out[:mid])
         return out
 
+    def step(self, Vu: np.ndarray, idx: int, out: np.ndarray) -> float:
+        """Kernel image of ``Vu`` into ``out``, divided by its value at node idx.
 
-def _reference_value(
-    scan: _KernelScan, w: np.ndarray, idx: int, work: np.ndarray | None = None
-) -> float:
-    """The kernel image ``w`` at the reference node, the divisor of each step.
-
-    A value below 1e-14 of the image's scale (taken as at least 1) means the
-    map vanishes at the reference node: no admissible coupling exists at
-    this energy, or u has no component along the sector's dominant mode.
-    ``work``, when given, receives |w|.
-    """
-    denom = w[idx]
-    if abs(denom) < _DENOMINATOR_FLOOR * max(float(np.abs(w, out=work).max()), 1.0):
-        raise NoBoundStateError(
-            f"no admissible coupling at epsilon={scan.epsilon:g} "
-            f"({scan.sector} sector): kernel integral {denom:.3e} at "
-            f"x_ref={scan.grid.points[idx]:g}"
-        )
-    return denom
+        Returns the divisor.  A divisor below 1e-14 of the image's scale
+        (taken as at least 1) means the map vanishes at the reference node:
+        no admissible coupling exists at this energy, or u has no component
+        along the sector's dominant mode.  ``Vu`` receives |image| as work.
+        """
+        self.apply(Vu, out=out)
+        denom = out[idx]
+        scale = max(float(np.abs(out, out=Vu).max()), 1.0)
+        if abs(denom) < _DENOMINATOR_FLOOR * scale:
+            raise NoBoundStateError(
+                f"no admissible coupling at epsilon={self.epsilon:g} "
+                f"({self.sector} sector): kernel integral {denom:.3e} at "
+                f"x_ref={self.grid.points[idx]:g}"
+            )
+        out /= denom
+        return denom
 
 
 def _kernel_step(
@@ -156,9 +155,8 @@ def _kernel_step(
     """Kernel image of V*u divided by its value at x_ref, and that divisor."""
     grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
     scan = _KernelScan(grid, kernel.epsilon, kernel.sector)
-    w = scan.apply(V.values * u.values)
-    denom = _reference_value(scan, w, grid.node_index(x_ref))
-    return w / denom, denom
+    w = np.empty(grid.n_points)
+    return w, scan.step(V.values * u.values, grid.node_index(x_ref), w)
 
 
 def apply_kernel(
@@ -201,8 +199,7 @@ class WaxmanConfig:
 
     def __post_init__(self):
         GreensKernel(self.epsilon, self.sector)  # validates epsilon and sector
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        check_positive("tol", self.tol)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
@@ -255,18 +252,16 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        scan.apply(np.multiply(Vv, u, out=Vu), out=w)
-        w /= _reference_value(scan, w, idx, Vu)
+        scan.step(np.multiply(Vv, u, out=Vu), idx, w)
         residual = float(np.abs(np.subtract(w, u, out=Vu), out=Vu).max())
         u, w = w, u
         if residual <= cfg.tol:
             converged = True
             break
 
-    scan.apply(np.multiply(Vv, u, out=Vu), out=w)
     return WaxmanResult(
         u=SampledFunction(grid, u),
-        lam=1.0 / _reference_value(scan, w, idx, Vu),
+        lam=1.0 / scan.step(np.multiply(Vv, u, out=Vu), idx, w),
         epsilon=cfg.epsilon,
         iterations=iterations,
         residual=residual,
@@ -390,10 +385,7 @@ def invert_curve(curve: LambdaEpsilonCurve, lambda_target: float) -> float:
     Uses a monotone piecewise-cubic interpolant (no overshoot between
     samples) and the Illinois method inside the bracketing interval.
     """
-    if not 0 < lambda_target < math.inf:
-        raise ValueError(
-            f"lambda_target must be positive and finite, got {lambda_target!r}"
-        )
+    check_positive("lambda_target", lambda_target)
     eps = curve.epsilons
     lam = curve.lambdas
     exact = np.nonzero(lam == lambda_target)[0]

@@ -13,7 +13,13 @@ import pytest
 
 import boundstates
 from boundstates import ConfigError
-from boundstates.cli import main, parse_config, run_reproduce_paper
+from boundstates.cli import (
+    _KEYS,
+    _float_list,
+    main,
+    parse_config,
+    run_reproduce_paper,
+)
 from _threshold import gaussian_odd_threshold
 
 
@@ -286,6 +292,24 @@ class TestOracleLevels:
         assert math.isfinite(eps)
         assert eps == pytest.approx(1e308, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "well",
+        [["poschl_teller"], ["square_well", "--well-half-width", "1"]],
+        ids=["poschl_teller", "square_well"],
+    )
+    def test_analytic_level_that_underflows_is_2(self, well):
+        # Every square well binds an even level, and sech^2 binds one at any
+        # lam; at lam = 1e-300 both lie below the smallest float.
+        argv = ["oracle", "--method", "analytic", "--potential", *well]
+        code, out, err = _run_child(*argv, "--lambda", "1e-300")
+        assert (code, out) == (2, "")
+        assert "underflows to 0" in err
+
+    def test_shooting_coupling_below_the_bracket_is_2(self, capsys):
+        # No level binds deeper than lam * max V = 5e-5 < 1e-4: no level.
+        assert main(["oracle", "--potential", "gaussian", "--lambda", "5e-5"]) == 2
+        assert "no even level" in capsys.readouterr().err
+
     def test_shooting_huge_coupling_is_2(self):
         # The step cannot resolve the well: a typed error before any overflow.
         code, out, err = _run_child("oracle", "--potential", "poschl_teller", "--lambda", "1e308")
@@ -365,6 +389,52 @@ class TestExitCodes:
         )
         assert code == 2
         assert "has no level 1" in capsys.readouterr().err
+
+
+# A command that reads each float key, and where a list key takes the bad
+# value: inf, -inf and nan must each be a usage error (exit 1) on every one.
+GAUSSIAN_601 = "--potential gaussian --n-points 601"
+NONFINITE_RUNS = [
+    ("well_half_width", "oracle --potential square_well --method analytic", "{}"),
+    ("table_values", "solve-waxman --potential table --n-points 3 --epsilon 1", "1,{},1"),
+    ("half_width", "solve-waxman --potential gaussian --epsilon 0.5", "{}"),
+    ("half_width", "solve-lanczos --potential gaussian --n-points 161", "{}"),
+    ("half_width", "oracle --potential gaussian", "{}"),
+    ("epsilon", f"solve-waxman {GAUSSIAN_601}", "{}"),
+    ("epsilons", f"sweep {GAUSSIAN_601} --output {{tmp}}/s.csv", "0.1,{}"),
+    ("epsilon_tail", f"threshold {GAUSSIAN_601}", "{},0.01,0.005"),
+    ("x_ref", f"solve-waxman {GAUSSIAN_601} --epsilon 0.5", "{}"),
+    ("tol", f"solve-waxman {GAUSSIAN_601} --epsilon 0.5", "{}"),
+    ("lambda", "oracle --potential poschl_teller", "{}"),
+]
+
+
+def test_every_float_key_has_a_nonfinite_run():
+    floats = {key.name for key in _KEYS if key.parse in (float, _float_list)}
+    assert {name for name, _, _ in NONFINITE_RUNS} == floats
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "name,command,form",
+    NONFINITE_RUNS,
+    ids=[f"{name}-{command.split()[0]}" for name, command, _ in NONFINITE_RUNS],
+)
+def test_nonfinite_value_is_1(name, command, form, bad, capsys, tmp_path):
+    # In process, so that a warning on the way is an error of the test too.
+    argv = command.format(tmp=tmp_path).split()
+    value = form.format(bad)
+    flag = next(key.flag for key in _KEYS if key.name == name)
+    if flag is None:  # a config-file key
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{name}={value}\n")
+        argv += ["--config", str(cfgfile)]
+    else:
+        argv.append(f"{flag}={value}")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # One cheap successful run per subcommand; "{tmp}" is the test's directory.

@@ -195,6 +195,16 @@ class TestAnalyticLevel:
             SQUARE_WELL_EPS_LAM3, abs=1e-9
         )
 
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    @pytest.mark.parametrize("lam", [10.0**-k for k in range(6, 17)])
+    def test_square_well_weak_coupling(self, lam, a):
+        # Simon's weak-coupling expansion (Ann. Phys. 97, 279, 1976):
+        # sqrt(eps) a = g (1 - 2g/3) + O(g^3) with g = lam a^2.  Here
+        # lam - (theta / a)^2 would cancel to a few digits or none.
+        expected = (lam * a) ** 2 * (1.0 - 2.0 * lam * a * a / 3.0) ** 2
+        level = analytic_level(PotentialSpec.square_well(a), lam, 0)
+        assert level == pytest.approx(expected, rel=1e-9, abs=0.0)
+
     def test_missing_levels_rejected(self):
         with pytest.raises(NoBoundStateError):
             analytic_level(PotentialSpec.poschl_teller(), 2.0, 1)
