@@ -37,7 +37,7 @@ class _Key:
     """One config key: how a file value or flag is parsed, and its default.
 
     ``flag`` is the command-line spelling; keys without one are set only in
-    config files.
+    config files.  ``required_by`` names the potential kind that needs the key.
     """
 
     name: str
@@ -45,13 +45,14 @@ class _Key:
     default: object = None
     choices: tuple[str, ...] | None = None
     flag: str | None = None
+    required_by: str | None = None
 
 
 # Table order is the order of the header every report starts with.
 _KEYS = (
     _Key("potential", str, choices=KINDS, flag="--potential"),
-    _Key("well_half_width", float, flag="--well-half-width"),
-    _Key("table_values", _float_list),
+    _Key("well_half_width", float, flag="--well-half-width", required_by="square_well"),
+    _Key("table_values", _float_list, required_by="table"),
     _Key("half_width", float, 12.0, flag="--half-width"),
     _Key("n_points", int, 2401, flag="--n-points"),
     _Key("solver", str, choices=("waxman", "lanczos", "oracle")),
@@ -74,11 +75,13 @@ _BY_NAME = {key.name: key for key in _KEYS}
 def _resolve(values: dict, defaults: dict, required: tuple[str, ...] = ()) -> dict:
     """Every key, by precedence key default < command default < keys as set.
 
-    Raises ``ConfigError`` naming every key of ``potential`` and ``required``
-    that is still unset.
+    Raises ``ConfigError`` naming every unset key among ``potential``,
+    ``required`` and the keys the chosen potential kind needs.
     """
     cfg = {key.name: key.default for key in _KEYS} | defaults | values
-    missing = [name for name in ("potential", *required) if cfg[name] is None]
+    kind = cfg["potential"]
+    needed = [key.name for key in _KEYS if kind and key.required_by == kind]
+    missing = [name for name in ("potential", *required, *needed) if cfg[name] is None]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return cfg
@@ -145,12 +148,8 @@ def _print_header(cfg: dict, stream: IO[str]) -> None:
 def _build_spec(cfg: dict) -> PotentialSpec:
     kind = cfg["potential"]
     if kind == "square_well":
-        if cfg["well_half_width"] is None:
-            raise ConfigError("square_well requires well_half_width")
         return PotentialSpec.square_well(cfg["well_half_width"])
     if kind == "table":
-        if cfg["table_values"] is None:
-            raise ConfigError("table potential requires table_values")
         return PotentialSpec.table(cfg["table_values"])
     return PotentialSpec(kind)
 
@@ -213,7 +212,7 @@ def _cmd_sweep(cfg: dict, stream: IO[str]) -> int:
     )
     _write_csv(output, wx.write_sweep_csv, points)
     _print_header(cfg, stream)
-    n_ok = sum(1 for p in points if p.result is not None and p.result.converged)
+    n_ok = sum(p.converged for p in points)
     stream.write(f"wrote {len(points)} sweep points to {output}\n")
     stream.write(f"converged {n_ok} of {len(points)}\n")
     if n_ok == 0:
@@ -323,20 +322,25 @@ def run_reproduce_paper(
 
     Runs the even- and odd-sector coupling sweeps on the Gaussian well,
     curve inversion at unit coupling, the excited-state threshold
-    extrapolation, the 18-step Lanczos run with its spuriousness
+    extrapolation, the Lanczos run with its spuriousness
     classification, and the shooting cross-check, then prints a side-by-side
     table against the published reference numbers.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     gaussian = PotentialSpec.gaussian()
-    V = sample_potential(gaussian, make_grid(12.0, 2401))
+    half_width, n_points, lz_m, lz_lambda = 12.0, 2401, 18, 1.0
+    V = sample_potential(gaussian, make_grid(half_width, n_points))
 
-    stream.write("# potential=gaussian half_width=12 n_points=2401 tol=1e-10\n")
-    stream.write("# full sweep: 37 points on [0.1, 1.0]; odd sweep: 23 points\n")
-    stream.write(f"# threshold tail: {len(THRESHOLD_TAIL)} points from 0.01 down\n")
+    # Each number here is one the run uses; tol is the solves' default.
+    full, odd, tail = FULL_SWEEP_EPSILONS, ODD_SWEEP_EPSILONS, THRESHOLD_TAIL
     stream.write(
-        f"# lanczos: m=18, lambda=1, gaussian start vector, "
+        f"# potential=gaussian half_width={half_width:g} n_points={n_points} "
+        f"tol={wx.WaxmanConfig.tol:g}\n"
+        f"# full sweep: {len(full)} points on [{full[0]}, {full[-1]}]; "
+        f"odd sweep: {len(odd)} points\n"
+        f"# threshold tail: {len(tail)} points from {tail[0]:g} down\n"
+        f"# lanczos: m={lz_m}, lambda={lz_lambda:g}, gaussian start vector, "
         f"n_points={LANCZOS_N_POINTS}\n"
     )
 
@@ -368,12 +372,12 @@ def run_reproduce_paper(
     max_residual = max(
         wx.bound_state_residual(p.result.u, V, p.result.lam, p.result.epsilon)
         for p in wx.sweep_results(RESIDUAL_SWEEP_EPSILONS, V, sector="full")
-        if p.result is not None and p.result.converged
+        if p.converged
     )
 
-    # Lanczos: 18 iterations, Ritz trace, spuriousness classification.
-    lz_V = sample_potential(gaussian, make_grid(12.0, LANCZOS_N_POINTS))
-    labelled = _lanczos_trace(lz_V, 1.0, 18, out / "lanczos_trace.csv")
+    # Lanczos: Ritz trace and spuriousness classification.
+    lz_V = sample_potential(gaussian, make_grid(half_width, LANCZOS_N_POINTS))
+    labelled = _lanczos_trace(lz_V, lz_lambda, lz_m, out / "lanczos_trace.csv")
     lowest_pair, lowest_label = min(labelled, key=lambda pl: pl[0].value)
     spurious_pos = [
         p for p, label in labelled if label == "spurious" and p.value > 0

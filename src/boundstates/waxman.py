@@ -269,6 +269,18 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     )
 
 
+def _epsilon_array(
+    epsilons: Iterable[float], name: str = "epsilons", order: str = "increasing"
+) -> np.ndarray:
+    """The energies as an array: 1-D, nonempty, finite, positive, monotone."""
+    eps = np.asarray(list(epsilons), dtype=float)
+    sign = -1.0 if order == "decreasing" else 1.0
+    ok = eps.ndim == 1 and eps.size > 0 and np.all(np.isfinite(eps) & (eps > 0))
+    if not ok or np.any(sign * np.diff(eps) <= 0):  # ok first: inf - inf warns
+        raise ValueError(f"{name} must be nonempty, finite, positive, strictly {order}")
+    return eps
+
+
 @dataclass
 class LambdaEpsilonCurve:
     """Sampled coupling-versus-energy relation, strictly increasing in epsilon."""
@@ -278,16 +290,10 @@ class LambdaEpsilonCurve:
     sector: str = "full"
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
+        eps = _epsilon_array(self.epsilons)
         lam = np.asarray(self.lambdas, dtype=float)
-        if eps.ndim != 1 or eps.shape != lam.shape or eps.size == 0:
-            raise ValueError("curve needs matching, nonempty epsilon/lambda arrays")
-        if not np.all(np.isfinite(eps)) or not np.all(np.isfinite(lam)):
-            raise ValueError("curve samples must be finite")
-        if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
-            raise ValueError("epsilons must be positive and strictly increasing")
-        if np.any(lam <= 0):
-            raise ValueError("lambdas must be positive")
+        if lam.shape != eps.shape or not np.all(np.isfinite(lam) & (lam > 0)):
+            raise ValueError("curve needs one positive, finite lambda per epsilon")
         if self.sector not in SECTORS:
             raise ValueError(f"sector must be one of {SECTORS}")
         self.epsilons = eps
@@ -302,14 +308,10 @@ class SweepPoint:
     result: WaxmanResult | None
     error: str | None = None
 
-
-def _validate_epsilons(epsilons: Sequence[float]) -> np.ndarray:
-    eps = np.asarray(list(epsilons), dtype=float)
-    if eps.size == 0:
-        raise ValueError("epsilon list must not be empty")
-    if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
-        raise ValueError("epsilons must be positive and strictly increasing")
-    return eps
+    @property
+    def converged(self) -> bool:
+        """True when the solve returned and its iterates stopped moving."""
+        return self.result is not None and self.result.converged
 
 
 def sweep_results(
@@ -319,7 +321,7 @@ def sweep_results(
     **config,
 ) -> list[SweepPoint]:
     """Run one fixed-point solve per epsilon, keeping failures as records."""
-    eps = _validate_epsilons(epsilons)
+    eps = _epsilon_array(epsilons)
     points: list[SweepPoint] = []
     for e in eps:
         cfg = WaxmanConfig(epsilon=float(e), sector=sector, **config)
@@ -334,14 +336,7 @@ def curve_from_results(
     points: Iterable[SweepPoint], sector: str = "full"
 ) -> LambdaEpsilonCurve:
     """Assemble the curve from converged sweep points; failures become gaps."""
-    kept = [
-        (p.epsilon, p.result.lam)
-        for p in points
-        if p.result is not None
-        and p.result.converged
-        and math.isfinite(p.result.lam)
-        and p.result.lam > 0
-    ]
+    kept = [(p.epsilon, p.result.lam) for p in points if p.converged]
     if not kept:
         raise SolverError("no epsilon in the sweep produced a converged bound state")
     eps, lams = zip(*kept)
@@ -427,26 +422,25 @@ def threshold_lambda(
     Evaluates lambda(epsilon) along a tail of energies decreasing toward
     zero and extrapolates with the square-root law lambda = lambda* +
     c*sqrt(epsilon) that governs the odd-sector approach to threshold.
+    ``SolverError`` names the first tail point that did not converge.
     """
     if sector != "odd":
         raise ValueError(
             "threshold extrapolation applies to the odd sector; a 1D attractive "
             "well binds an even state at any positive coupling"
         )
-    tail = np.asarray(list(epsilon_tail), dtype=float)
+    tail = _epsilon_array(epsilon_tail, "epsilon_tail", "decreasing")
     if tail.size < 3:
         raise ValueError("epsilon_tail needs at least 3 points for the fit")
-    if np.any(tail <= 0) or np.any(np.diff(tail) >= 0):
-        raise ValueError("epsilon_tail must be positive and strictly decreasing")
 
-    lams = []
-    for e in tail:
-        cfg = WaxmanConfig(epsilon=float(e), sector=sector, **config)
-        res = waxman_fixed_point(cfg, V)
-        if not res.converged:
-            raise SolverError(f"threshold tail point epsilon={e:g} did not converge")
-        lams.append(res.lam)
-    lams = np.array(lams)
+    points = sweep_results(tail[::-1], V, sector, **config)[::-1]
+    failed = next((p for p in points if not p.converged), None)
+    if failed is not None:
+        raise SolverError(
+            f"threshold tail point epsilon={failed.epsilon:g}: "
+            f"{failed.error or 'did not converge'}"
+        )
+    lams = np.array([p.result.lam for p in points])
     if np.any(np.diff(lams) >= 0):
         raise SolverError(
             "threshold tail not settling: lambda values are not strictly "

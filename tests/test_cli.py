@@ -56,6 +56,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="potential"):
             parse_config("")
 
+    def test_potential_parameter_is_required(self):
+        with pytest.raises(ConfigError, match="missing required keys: table_values"):
+            parse_config("potential=table\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match=r"line 3.*duplicate"):
             parse_config("potential=gaussian\nsolver=waxman\nsolver=oracle\n")
@@ -330,6 +334,15 @@ class TestExitCodes:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("potential=gaussian\nsolver=waxman\nn_points=2400\n")
         assert main(["solve-waxman", "--config", str(cfgfile), "--epsilon", "0.5"]) == 1
+
+    @pytest.mark.parametrize(
+        "potential,key", [("square_well", "well_half_width"), ("table", "table_values")]
+    )
+    def test_missing_potential_parameter_is_1(self, potential, key, capsys):
+        assert main(["oracle", "--potential", potential]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: missing required keys: {key}\n"
 
     def test_kernel_overflow_is_2(self, capsys, recwarn):
         # exp(sqrt(200) * 60) = exp(848) is past the float range: a numerical

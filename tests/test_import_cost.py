@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import boundstates
+from test_cli import HEADER_RUNS
 
 # Imports the package, runs the CLI on the arguments if there are any, and
 # prints the exit code and the loaded scipy modules as its last line.
@@ -47,17 +48,23 @@ def test_import_loads_no_scipy():
     assert _scipy_modules() == (0, set())
 
 
+# The coupling-curve commands run with their header-test arguments; "{tmp}"
+# stands for the test's directory.
+_CURVE_COMMANDS = ("sweep", "invert", "threshold")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("oracle", "--potential", "gaussian", "--lambda", "1", "--parity", "even"),
         ("solve-waxman", "--potential", "gaussian", "--epsilon", "0.5"),
         ("solve-lanczos", "--potential", "gaussian", "--n-points", "161"),
+        *((name, *HEADER_RUNS[name].split()) for name in _CURVE_COMMANDS),
     ],
-    ids=["oracle-shooting", "solve-waxman", "solve-lanczos"],
+    ids=["oracle-shooting", "solve-waxman", "solve-lanczos", *_CURVE_COMMANDS],
 )
-def test_kernel_and_shooting_commands_load_no_scipy(argv):
-    code, modules = _scipy_modules(*argv)
+def test_kernel_and_shooting_commands_load_no_scipy(argv, tmp_path):
+    code, modules = _scipy_modules(*(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 0
     assert modules == set()
 

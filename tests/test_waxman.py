@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from boundstates import cli
+from boundstates import cli, waxman
 from boundstates import (
     GreensKernel,
     LambdaEpsilonCurve,
@@ -382,6 +382,64 @@ class TestThreshold:
     def test_full_sector_rejected(self, gaussian_fine):
         with pytest.raises(ValueError):
             threshold_lambda(gaussian_fine, "full", self.TAIL)
+
+
+# Epsilon lists each bad in the increasing direction; reversed, each is as
+# bad in the decreasing direction a threshold tail needs.
+BAD_EPSILONS = {
+    "empty": [],
+    "wrong-order": [0.3, 0.2, 0.1],
+    "nonpositive": [0.0, 0.1, 0.2],
+    "nan": [0.1, math.nan, 0.2],
+    "inf": [0.1, 0.2, math.inf],
+}
+CURVE_CALLERS = {
+    "sweep_results": lambda eps, V: sweep_results(eps, V),
+    "sweep_epsilon": lambda eps, V: sweep_epsilon(eps, V),
+    "threshold_lambda": lambda eps, V: threshold_lambda(V, "odd", eps[::-1]),
+    "LambdaEpsilonCurve": lambda eps, V: LambdaEpsilonCurve(eps, np.ones(len(eps))),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_EPSILONS))
+@pytest.mark.parametrize("caller", list(CURVE_CALLERS))
+def test_bad_epsilon_list_rejected_before_any_solve(
+    caller, bad, gaussian_fine, monkeypatch
+):
+    calls = []
+
+    def counting(cfg, V):
+        calls.append(cfg.epsilon)
+        return waxman_fixed_point(cfg, V)
+
+    monkeypatch.setattr(waxman, "waxman_fixed_point", counting)
+    expected = (
+        "epsilon_tail .* strictly decreasing"
+        if caller == "threshold_lambda"
+        else "epsilons .* strictly increasing"
+    )
+    with pytest.raises(ValueError, match=expected):
+        CURVE_CALLERS[caller](BAD_EPSILONS[bad], gaussian_fine)
+    assert calls == []
+
+
+class TestThresholdTail:
+    def test_unconverged_point_is_named(self, gaussian_fine):
+        with pytest.raises(SolverError, match=r"epsilon=0\.01: did not converge"):
+            threshold_lambda(gaussian_fine, "odd", cli.THRESHOLD_TAIL, max_iter=1)
+
+    def test_failed_point_carries_its_error(self, recwarn):
+        # exp(sqrt(eps) * 60) overflows for eps >= 140: the first tail point
+        # in tail order fails, and its recorded error is reported with it.
+        V = sample_potential(PotentialSpec.gaussian(), make_grid(60.0, 2401))
+        with pytest.raises(SolverError, match="epsilon=300: kernel weights"):
+            threshold_lambda(V, "odd", [300.0, 200.0, 100.0])
+        assert len(recwarn) == 0
+
+    def test_reproduce_paper_value_is_pinned(self, gaussian_fine):
+        # The 17 digits the threshold command prints at the default tail.
+        lam_star = threshold_lambda(gaussian_fine, "odd", cli.THRESHOLD_TAIL)
+        assert lam_star == 1.3419331985434635
 
 
 class TestResidualProperty:
