@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,7 +74,8 @@ class _KernelScan:
     quadrature of the kinked integrand exactly, without the dense matrix.
     The weights exp(+-sqrt(eps) x) must fit in a float over the whole box;
     where they do not, the scan raises ``SolverError`` before computing any.
-    The work arrays are allocated once, so repeated applies allocate nothing.
+    It holds the weights and the two running integrals, allocated once; an
+    apply needs no other scratch, and its output may overwrite its input.
     """
 
     def __init__(self, grid: Grid, epsilon: float, sector: str):
@@ -86,59 +88,57 @@ class _KernelScan:
                 f"kernel weights exp(sqrt(eps) * half_width) overflow at "
                 f"epsilon={epsilon:g}, half_width={grid.half_width:g}"
             )
-        if sector == "full":
-            x = grid.points
-        else:
-            x = grid.points[grid.mid_index :]
+        self._mid = 0 if sector == "full" else grid.mid_index
+        x = grid.points[self._mid :]
         self.grow = np.exp(self.s * x)
-        self.decay = np.exp(-self.s * x)
-        self._product, self._steps, self._left, self._right = (
-            np.empty_like(x) for _ in range(4)
-        )
-
-    def _cumtrapz(self, y: np.ndarray, out: np.ndarray) -> None:
-        # Trapezoid running integral of y into out, with out[0] = 0.
-        steps = self._steps[1:]
-        np.add(y[1:], y[:-1], out=steps)
-        steps *= 0.5 * self.grid.spacing
-        out[0] = 0.0
-        np.cumsum(steps, out=out[1:])
+        # make_grid is exactly antisymmetric and (-s)*x == s*(-x), so on the
+        # full box the mirror of exp(s x) is exp(-s x) bit for bit.
+        self.decay = self.grow[::-1] if sector == "full" else np.exp(-self.s * x)
+        self._left, self._right = np.empty_like(x), np.empty_like(x)
+        self._half_h, self._two_s = 0.5 * grid.spacing, 2.0 * self.s
 
     def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Kernel image of ``f``, written into ``out`` (which must not alias f)."""
+        """Kernel image of ``f``, written into ``out``, which may be ``f`` itself."""
         if out is None:
             out = np.empty_like(f)
-        left, right, product = self._left, self._right, self._product
+        left, right, mid = self._left, self._right, self._mid
         # Odd sector: integrate the image kernel over x' >= 0 (its natural
         # domain) and extend antisymmetrically.  For odd input this equals
         # the whole-line integral of the plain kernel.
-        mid = 0 if self.sector == "full" else self.grid.mid_index
-        fh = f[mid:]
-        self._cumtrapz(np.multiply(self.grow, fh, out=product), left)
-        np.multiply(self.decay, fh, out=product)
-        self._cumtrapz(product[::-1], right[::-1])  # integral from x to the edge
-        if mid:
-            left -= right[0]
-        left *= self.decay
-        right *= self.grow
         image = out[mid:]
-        np.add(left, right, out=image)
-        image /= 2.0 * self.s
+        # Trapezoid integral of grow*f from the left edge (product in ``right``).
+        np.multiply(self.grow, f[mid:], out=right)
+        np.add(right[1:], right[:-1], out=left[1:])
+        left[0] = 0.0
+        left[1:] *= self._half_h
+        np.add.accumulate(left[1:], out=left[1:])
+        # Integral of decay*f from the right edge, in ``image``: f is read no more.
+        np.multiply(self.decay, f[mid:], out=right)
+        np.add(right[1:], right[:-1], out=image[:-1])
+        image[-1] = 0.0
+        image[:-1] *= self._half_h
+        np.add.accumulate(image[-2::-1], out=image[-2::-1])
+        if mid:
+            left -= image[0]
+        left *= self.decay
+        image *= self.grow
+        image += left
+        image /= self._two_s
         if mid:
             np.negative(image[:0:-1], out=out[:mid])
         return out
 
-    def step(self, Vu: np.ndarray, idx: int, out: np.ndarray) -> float:
-        """Kernel image of ``Vu`` into ``out``, divided by its value at node idx.
+    def step(self, f: np.ndarray, idx: int, out: np.ndarray) -> float:
+        """Kernel image of ``f`` into ``out`` (may be f), divided by its value at idx.
 
         Returns the divisor.  A divisor below 1e-14 of the image's scale
         (taken as at least 1) means the map vanishes at the reference node:
         no admissible coupling exists at this energy, or u has no component
-        along the sector's dominant mode.  ``Vu`` receives |image| as work.
+        along the sector's dominant mode.  Only ``out`` is written.
         """
-        self.apply(Vu, out=out)
+        self.apply(f, out=out)
         denom = out[idx]
-        scale = max(float(np.abs(out, out=Vu).max()), 1.0)
+        scale = max(np.maximum.reduce(out), -np.minimum.reduce(out), 1.0)
         if abs(denom) < _DENOMINATOR_FLOOR * scale:
             raise NoBoundStateError(
                 f"no admissible coupling at epsilon={self.epsilon:g} "
@@ -149,14 +149,26 @@ class _KernelScan:
         return denom
 
 
+@contextmanager
+def _scan(grid: Grid, epsilon: float, sector: str) -> Iterator[_KernelScan]:
+    """A kernel scan whose float overflow raises ``SolverError``, not a warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield _KernelScan(grid, epsilon, sector)
+    except FloatingPointError as exc:
+        raise SolverError(
+            f"kernel scan overflow at epsilon={epsilon:g} ({sector} sector): {exc}"
+        ) from exc
+
+
 def _kernel_step(
     kernel: GreensKernel, V: SampledFunction, u: SampledFunction, x_ref: float
 ) -> tuple[np.ndarray, float]:
     """Kernel image of V*u divided by its value at x_ref, and that divisor."""
     grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
-    scan = _KernelScan(grid, kernel.epsilon, kernel.sector)
-    w = np.empty(grid.n_points)
-    return w, scan.step(V.values * u.values, grid.node_index(x_ref), w)
+    with _scan(grid, kernel.epsilon, kernel.sector) as scan:
+        w = np.multiply(V.values, u.values)
+        return w, scan.step(w, grid.node_index(x_ref), w)
 
 
 def apply_kernel(
@@ -164,8 +176,9 @@ def apply_kernel(
 ) -> SampledFunction:
     """Quadrature of the kernel integral of V*u at every grid node."""
     grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
-    scan = _KernelScan(grid, kernel.epsilon, kernel.sector)
-    return SampledFunction(grid, scan.apply(V.values * u.values))
+    with _scan(grid, kernel.epsilon, kernel.sector) as scan:
+        w = np.multiply(V.values, u.values)
+        return SampledFunction(grid, scan.apply(w, out=w))
 
 
 def lambda_from(
@@ -239,34 +252,30 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
         raise ValueError("odd sector requires x_ref != 0 (the state vanishes there)")
 
     # Ones (full sector) or x (odd sector): nonzero at every admissible x_ref.
-    u = np.ones(grid.n_points) if cfg.sector == "full" else grid.points
-    u = u / u[idx]
+    u = np.ones(grid.n_points) if cfg.sector == "full" else grid.points.copy()
+    u /= u[idx]
 
-    scan = _KernelScan(grid, cfg.epsilon, cfg.sector)
-    Vv = V.values
-    # The iterate u, the next one w and the product V*u (also the work array for
-    # the sup-norms) are reused every iteration.  Each is its own allocation,
-    # so the returned state keeps no other loop array alive.
-    w, Vu = np.empty_like(u), np.empty_like(u)
-    residual = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        scan.step(np.multiply(Vv, u, out=Vu), idx, w)
-        residual = float(np.abs(np.subtract(w, u, out=Vu), out=Vu).max())
-        u, w = w, u
-        if residual <= cfg.tol:
-            converged = True
-            break
-
-    return WaxmanResult(
-        u=SampledFunction(grid, u),
-        lam=1.0 / scan.step(np.multiply(Vv, u, out=Vu), idx, w),
-        epsilon=cfg.epsilon,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-    )
+    # The loop holds only u and the next iterate w: V*u goes into w, the step
+    # maps it in place, and u - w lands in u (abs reads an all-zero one as +0.0).
+    Vv, w = V.values, np.empty_like(u)
+    residual, converged, iterations = math.inf, False, 0
+    with _scan(grid, cfg.epsilon, cfg.sector) as scan:
+        for iterations in range(1, cfg.max_iter + 1):
+            scan.step(np.multiply(Vv, u, out=w), idx, w)
+            u -= w
+            residual = abs(float(max(np.maximum.reduce(u), -np.minimum.reduce(u))))
+            u, w = w, u
+            if residual <= cfg.tol:
+                converged = True
+                break
+        return WaxmanResult(
+            u=SampledFunction(grid, u),
+            lam=1.0 / scan.step(np.multiply(Vv, u, out=w), idx, w),
+            epsilon=cfg.epsilon,
+            iterations=iterations,
+            residual=residual,
+            converged=converged,
+        )
 
 
 def _epsilon_array(

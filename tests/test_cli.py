@@ -352,6 +352,15 @@ class TestExitCodes:
         assert "overflow" in capsys.readouterr().err
         assert len(recwarn) == 0
 
+    def test_kernel_overflow_below_the_guard_is_2(self):
+        # sqrt(3495) * 12 = 709.4 passes the weight guard, but the trapezoid
+        # pair sums overflow: a typed error and no warning, even under -W error.
+        argv = ["--potential", "square_well", "--well-half-width", "20",
+                "--half-width", "12", "--n-points", "2401", "--epsilon", "3495"]
+        code, out, err = _run_child("solve-waxman", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: kernel scan overflow at epsilon=3495")
+
     def test_missing_required_value_is_1(self, capsys):
         # sweep without an epsilon list is a usage problem, not numerical
         assert main(["sweep", "--potential", "gaussian", "--output", "x.csv"]) == 1

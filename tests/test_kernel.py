@@ -1,6 +1,7 @@
 """Green's kernel: closed form, quadrature application, defining-ODE check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,13 +222,54 @@ class TestBufferedScan:
                 out = np.full(n_points, np.nan)
                 assert scan.apply(f, out=out) is out
                 assert np.array_equal(out, expected)
+                assert scan.apply(f, out=f) is f  # in place
+                assert np.array_equal(f, expected)
 
-    def test_fixed_point_bit_identical(self):
+    @pytest.mark.parametrize("eps", [1.0, 170.0])
+    @pytest.mark.parametrize("sector", ["full", "odd"])
+    def test_fixed_point_bit_identical(self, sector, eps):
         g = make_grid(12.0, 50001)
         V = sample_potential(PotentialSpec.poschl_teller(), g)
-        cfg = WaxmanConfig(epsilon=1.0)
+        cfg = WaxmanConfig(epsilon=eps, sector=sector)
         res = waxman_fixed_point(cfg, V)
         lam, iterations, residual, u = _reference_fixed_point(cfg, V)
         assert res.converged
         assert (res.lam, res.iterations, res.residual) == (lam, iterations, residual)
         assert np.array_equal(res.u.values, u)
+
+    @pytest.mark.parametrize("n_points", [161, 2401, 50001])
+    @pytest.mark.parametrize("sector", ["full", "odd"])
+    def test_decay_is_exp_minus_s_x(self, n_points, sector):
+        # The reference apply reads scan.decay, so check the weight itself:
+        # in the full sector it is the mirror of grow, not a second exp.
+        for half_width in (12.0, 7.3):
+            g = make_grid(half_width, n_points)
+            x = g.points if sector == "full" else g.points[g.mid_index :]
+            for eps in (1e-3, 0.5, 1.0, 170.0, 3495.0):
+                scan = _KernelScan(g, eps, sector)
+                assert np.array_equal(scan.decay, np.exp(-scan.s * x))
+
+    @pytest.mark.parametrize(
+        "sector,solve_arrays,apply_arrays", [("full", 5.2, 4.2), ("odd", 4.2, 3.2)]
+    )
+    def test_scan_holds_few_arrays(self, sector, solve_arrays, apply_arrays):
+        # A solve holds u, w, the weight grow (decay too on the half-axis) and
+        # the two running integrals; apply_kernel holds V*u in place of u and
+        # w.  Counted in n-sized float arrays; numpy reports them to tracemalloc.
+        n = 50001
+        g = make_grid(12.0, n)
+        V = sample_potential(PotentialSpec.gaussian(), g)
+        u = SampledFunction(g, np.ones(n))
+        peaks = []
+        for run in (
+            lambda: waxman_fixed_point(WaxmanConfig(epsilon=1.0, sector=sector), V),
+            lambda: apply_kernel(GreensKernel(1.0, sector), V, u),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= solve_arrays
+        assert peaks[1] <= apply_arrays

@@ -246,6 +246,21 @@ class TestSweep:
         assert overflow.result is None and "overflow" in overflow.error
         with pytest.raises(SolverError, match="overflow"):
             waxman_fixed_point(WaxmanConfig(epsilon=200.0), V)
+        # sqrt(3495) * 12 = 709.4 passes the weight guard (709.78), but the
+        # trapezoid pair sums of grow*u pass the float maximum.
+        W = sample_potential(PotentialSpec.square_well(20.0), make_grid(12.0, 2401))
+        (near,) = sweep_results([3495.0], W)
+        assert near.result is None
+        assert "overflow" in near.error and "epsilon=3495" in near.error
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("entry", ["apply_kernel", "lambda_from", "waxman_step"])
+    def test_one_shot_overflow_is_a_solver_error(self, entry, recwarn):
+        W = sample_potential(PotentialSpec.square_well(20.0), make_grid(12.0, 2401))
+        u = SampledFunction(W.grid, np.ones(W.grid.n_points))
+        args = (GreensKernel(3495.0), W, u) + ((0.0,) if entry != "apply_kernel" else ())
+        with pytest.raises(SolverError, match="overflow at epsilon=3495"):
+            getattr(waxman, entry)(*args)
         assert len(recwarn) == 0
 
     def test_csv_format_and_determinism(self, gaussian_fine):
