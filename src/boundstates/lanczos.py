@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -25,6 +26,9 @@ from .grid import Grid, SampledFunction, check_positive, check_same_grid
 TAU_ZERO = 0.05
 TAU_SPUR = 0.5
 MATCH_GATE = 0.1
+
+# Ritz vectors scored per pass of the stencil over a block of rows.
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -61,21 +65,37 @@ def _norm(grid: Grid, f: np.ndarray) -> float:
     return math.sqrt(_dot(grid, f, f))
 
 
-def _apply_values(H: Hamiltonian, v: np.ndarray) -> np.ndarray:
-    grid = H.grid
-    h2 = grid.spacing * grid.spacing
-    out = np.empty_like(v)
-    out[1:-1] = (2.0 * v[1:-1] - v[:-2] - v[2:]) / h2
-    out[0] = (2.0 * v[0] - v[1]) / h2
-    out[-1] = (2.0 * v[-1] - v[-2]) / h2
-    out -= H.lam * H.V.values * v
-    return out
+def _apply_values(
+    H: Hamiltonian, v: np.ndarray, out: np.ndarray, lam_v: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Write H v into ``out`` along the last axis: one state or a block of rows.
+
+    ``lam_v`` is ``H.lam * H.V.values`` and ``scratch`` has v's shape; a
+    caller that applies H many times makes both once.  Every element sees the
+    same operations in the same order whatever the block, so rows keep their
+    bits.  ``out`` must be C-contiguous and must not overlap ``v``.
+    """
+    h2 = H.grid.spacing * H.grid.spacing
+    # The interior formula runs over the flattened block: one pass instead of
+    # one per row.  It also fills each row's end points from the rows beside
+    # it, and the Dirichlet rows below overwrite those.
+    flat_v, inner = v.reshape(-1), out.reshape(-1)[1:-1]
+    np.multiply(flat_v[1:-1], 2.0, out=inner)
+    inner -= flat_v[:-2]
+    inner -= flat_v[2:]
+    inner /= h2
+    out[..., 0] = (2.0 * v[..., 0] - v[..., 1]) / h2
+    out[..., -1] = (2.0 * v[..., -1] - v[..., -2]) / h2
+    np.multiply(lam_v, v, out=scratch)
+    out -= scratch
 
 
 def hamiltonian_apply(H: Hamiltonian, u: SampledFunction) -> SampledFunction:
     """Apply the operator: central second difference (zero outside) - lam*V*u."""
     grid = check_same_grid(H.grid, u.grid, "state must live on the Hamiltonian's grid")
-    return SampledFunction(grid, _apply_values(H, u.values))
+    out = np.empty_like(u.values)
+    _apply_values(H, u.values, out, H.lam * H.V.values, np.empty_like(out))
+    return SampledFunction(grid, out)
 
 
 def start_vector(grid: Grid) -> SampledFunction:
@@ -118,8 +138,10 @@ def lanczos_run(
     betas: list[float] = []
     beta_prev = 0.0
     h = grid.spacing
+    lam_v = H.lam * H.V.values
+    w, scratch = np.empty((2, grid.n_points))
     for k in range(rows):
-        w = _apply_values(H, Q[k])
+        _apply_values(H, Q[k], w, lam_v, scratch)
         alpha = _dot(grid, Q[k], w)
         alphas.append(alpha)
         if k == rows - 1:
@@ -171,33 +193,63 @@ class RitzPair:
     iteration: int
 
 
-def _delta(H: Hamiltonian, psi: np.ndarray, value: float) -> float:
-    hhp = _apply_values(H, _apply_values(H, psi))
-    return abs(value * value - _dot(H.grid, psi, hhp))
+def _gauge_block(H: Hamiltonian, rows: int) -> np.ndarray:
+    # psi, H psi, H^2 psi and the stencil's scratch for up to ``rows`` states.
+    return np.empty((4, rows, H.grid.n_points))
+
+
+def _block_deltas(
+    H: Hamiltonian, lam_v: np.ndarray, block: np.ndarray, values: Sequence[float]
+) -> list[float]:
+    # Gauge of the unit states in the first len(values) rows of block[0]:
+    # two applies of H cover them all, then one dot per row.
+    grid = H.grid
+    psi, hpsi, hhpsi, scratch = block[:, : len(values)]
+    _apply_values(H, psi, hpsi, lam_v, scratch)
+    _apply_values(H, hpsi, hhpsi, lam_v, scratch)
+    return [
+        abs(value * value - _dot(grid, row, hhrow))
+        for value, row, hhrow in zip(values, psi, hhpsi)
+    ]
 
 
 def delta_check(H: Hamiltonian, state: SampledFunction, value: float) -> float:
     """Residual-norm-squared gauge |e^2 - <psi|H^2|psi>| for a unit state."""
     check_same_grid(H.grid, state.grid, "state must live on the Hamiltonian's grid")
-    return _delta(H, state.values, value)
+    block = _gauge_block(H, 1)
+    block[0, 0] = state.values
+    return _block_deltas(H, H.lam * H.V.values, block, [value])[0]
 
 
-def _ritz_row(
-    H: Hamiltonian, alphas: Sequence[float], betas: Sequence[float], Q: np.ndarray
-) -> list[RitzPair]:
-    pairs = []
-    for value, z in tridiagonal_eigen(alphas, betas):
-        # One product per vector: a batched Z.T @ Q moves the last bits of delta.
-        psi = z @ Q
-        psi /= _norm(H.grid, psi)
-        pairs.append(RitzPair(value, _delta(H, psi, value), len(alphas)))
-    return pairs
+def _score_prefixes(
+    run: LanczosRun, H: Hamiltonian, lengths: Sequence[int]
+) -> list[list[RitzPair]]:
+    # One basis stack, lam*V and gauge block serve every prefix scored.
+    grid = H.grid
+    Q = np.stack([b.values for b in run.basis])
+    lam_v = H.lam * H.V.values
+    rows = min(_BLOCK_ROWS, run.m)
+    block = _gauge_block(H, rows)
+    history = []
+    for k in lengths:
+        eigen = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
+        pairs = []
+        for start in range(0, k, rows):
+            chunk = eigen[start : start + rows]
+            for (_, z), psi in zip(chunk, block[0]):
+                # One product per vector: a batched Z.T @ Q moves the last bits of delta.
+                np.matmul(z, Q[:k], out=psi)
+                psi /= _norm(grid, psi)
+            values = [value for value, _ in chunk]
+            deltas = _block_deltas(H, lam_v, block, values)
+            pairs += [RitzPair(v, d, k) for v, d in zip(values, deltas)]
+        history.append(pairs)
+    return history
 
 
 def ritz_pairs(run: LanczosRun, H: Hamiltonian) -> list[RitzPair]:
     """Ritz values of the run, each scored by the delta gauge; no vector is kept."""
-    Q = np.stack([b.values for b in run.basis])
-    return _ritz_row(H, run.alphas, run.betas, Q)
+    return _score_prefixes(run, H, [run.m])[0]
 
 
 def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
@@ -205,13 +257,10 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
 
     Truncating the recursion reproduces exactly what a shorter run would
     have computed, so the history can be sliced out of one full run.  It
-    holds values and deltas only, so its size does not grow with the grid.
+    holds values and deltas only, so its size does not grow with the grid;
+    the Ritz vectors pass through one block of ``_BLOCK_ROWS`` rows.
     """
-    Q = np.stack([b.values for b in run.basis])
-    return [
-        _ritz_row(H, run.alphas[:k], run.betas[: k - 1], Q[:k])
-        for k in range(1, run.m + 1)
-    ]
+    return _score_prefixes(run, H, range(1, run.m + 1))
 
 
 def _label(deltas: Sequence[float]) -> str:
@@ -236,11 +285,19 @@ def _label_history(history: Sequence[Sequence[RitzPair]]) -> list[list[str]]:
     tracks: dict[tuple[int, int], tuple[float, list[float]]] = {}
     labels = []
     for li, pairs in enumerate(history):
+        # Only pairs within twice the gate of a track value can pass the
+        # exact test below, so a bisection over the sorted values finds them.
+        values = [p.value for p in pairs]
+        order = sorted(range(len(values)), key=values.__getitem__)
+        ranked = [values[pi] for pi in order]
+        reach = 2 * MATCH_GATE
         candidates = sorted(
             (dist, pi, tag)
             for tag, (value, _) in tracks.items()
-            for pi, p in enumerate(pairs)
-            if (dist := abs(p.value - value)) <= MATCH_GATE
+            for pi in order[
+                bisect_left(ranked, value - reach) : bisect_right(ranked, value + reach)
+            ]
+            if (dist := abs(values[pi] - value)) <= MATCH_GATE
         )
         continued: dict[int, tuple[tuple[int, int], list[float]]] = {}
         for _, pi, tag in candidates:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from boundstates import lanczos
 from boundstates import (
     GridMismatchError,
     Hamiltonian,
@@ -64,6 +65,31 @@ def _ground_eigvec(H):
     return float(vals[0]), SampledFunction(g, v)
 
 
+def _brute_force_labels(history):
+    # Track threading by brute force: every open track against every pair of
+    # the next row, O(k^2) per row, by the rules of ``classify_pairs``.
+    tracks = {}
+    labels = []
+    for li, pairs in enumerate(history):
+        candidates = sorted(
+            (dist, pi, tag)
+            for tag, (value, _) in tracks.items()
+            for pi, p in enumerate(pairs)
+            if (dist := abs(p.value - value)) <= lanczos.MATCH_GATE
+        )
+        continued = {}
+        for _, pi, tag in candidates:
+            if pi not in continued and tag in tracks:
+                continued[pi] = (tag, tracks.pop(tag)[1])
+        tracks = {}
+        for pi, p in enumerate(pairs):
+            tag, deltas = continued.get(pi, ((li, pi), []))
+            deltas.append(p.delta)
+            tracks[tag] = (p.value, deltas)
+        labels.append([lanczos._label(deltas) for _, deltas in tracks.values()])
+    return labels
+
+
 class TestHamiltonianApply:
     def test_poschl_teller_eigenpair_interior(self, fine_grid):
         V = sample_potential(PotentialSpec.poschl_teller(), fine_grid)
@@ -87,6 +113,25 @@ class TestHamiltonianApply:
         out = hamiltonian_apply(H, u).values
         expect = (np.pi / 12.0) ** 2 * u.values
         assert np.max(np.abs(out[1:-1] - expect[1:-1])) < 1e-6
+
+    def test_block_apply_equals_the_stencil_row_by_row(self, rng):
+        # A block of rows runs the interior formula over its flattened rows
+        # and then rewrites each row's end points: every row must come out
+        # bit for bit as the three-point formula applied to it alone.
+        g, H = _coarse_setup()
+        h2 = g.spacing * g.spacing
+        v = rng.normal(size=(3, g.n_points))
+        out, scratch = np.empty_like(v), np.empty_like(v)
+        lanczos._apply_values(H, v, out, H.lam * H.V.values, scratch)
+        for row, hrow in zip(v, out):
+            expect = np.empty_like(row)
+            expect[1:-1] = (2.0 * row[1:-1] - row[:-2] - row[2:]) / h2
+            expect[0] = (2.0 * row[0] - row[1]) / h2
+            expect[-1] = (2.0 * row[-1] - row[-2]) / h2
+            expect -= H.lam * H.V.values * row
+            assert np.array_equal(hrow, expect)
+            single = hamiltonian_apply(H, SampledFunction(g, row)).values
+            assert np.array_equal(single, expect)
 
     def test_grid_mismatch(self, gaussian_fine):
         H = Hamiltonian(gaussian_fine, 1.0)
@@ -270,6 +315,47 @@ class TestRitzPairs:
                 (p.value, p.delta) for p in short
             ]
 
+    @pytest.mark.parametrize(
+        "kind, n, m", [("gaussian", 641, 50), ("poschl_teller", 2401, 40)]
+    )
+    def test_block_gauge_equals_per_pair_reference(self, kind, n, m):
+        # The history scores its Ritz vectors in blocks of rows, and every
+        # prefix past 16 pairs spans more than one block.  Each pair must
+        # still score exactly as it does alone: its own z @ Q and norm, two
+        # applies of H, one product.
+        g = make_grid(12.0, n)
+        H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
+        run = lanczos_run(H, start_vector(g), m)
+        assert run.m == m
+        Q = np.stack([b.values for b in run.basis])
+        for k, row in enumerate(ritz_history(run, H), 1):
+            reference = []
+            for value, z in tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1]):
+                psi = z @ Q[:k]
+                psi /= np.sqrt(_h_dot(g, psi, psi))
+                state = SampledFunction(g, psi)
+                hh = hamiltonian_apply(H, hamiltonian_apply(H, state)).values
+                reference.append((value, abs(value * value - _h_dot(g, psi, hh))))
+            assert [(p.value, p.delta) for p in row] == reference, f"prefix {k}"
+
+    def test_history_applies_the_stencil_twice_per_block(self, monkeypatch):
+        # 820 pairs at m = 40: scored one by one they would take 1640 applies
+        # of H; in blocks of 16 rows they take 2 per block, 144 in all.
+        g = make_grid(12.0, 641)
+        H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+        run = lanczos_run(H, start_vector(g), 40)
+        applies = []
+        apply_values = lanczos._apply_values
+
+        def counted(H, v, *args):
+            applies.append(v.shape)
+            return apply_values(H, v, *args)
+
+        monkeypatch.setattr(lanczos, "_apply_values", counted)
+        history = ritz_history(run, H)
+        assert sum(map(len, history)) == 820
+        assert len(applies) <= 2 * sum(-(-k // 16) for k in range(1, 41))
+
     def test_history_holds_no_vectors(self):
         # 5050 pairs at (n, m) = (2401, 100): keeping each Ritz vector would
         # take about 97 MB.  numpy reports its buffers to tracemalloc.
@@ -346,6 +432,33 @@ class TestClassifyPairs:
             for k, row in enumerate(rows, 1)
         ]
         assert [lab for _, lab in classify_pairs(history)] == ["undecided"] * 3
+
+    def test_bisected_matching_equals_brute_force(self, rng):
+        # Values on a 0.05 lattice, with offsets and a little jitter, give
+        # unsorted rows, repeated values, equal distances and distances on
+        # both sides of MATCH_GATE as well as exactly on it.
+        at_gate = 0
+        for _ in range(500):
+            history = []
+            for k in range(1, int(rng.integers(2, 9))):
+                size = int(rng.integers(1, 8))
+                values = (
+                    rng.choice([0.0, 0.3, 2.0, 100.0])
+                    + rng.integers(0, 8, size) * 0.05
+                    + rng.choice([0.0, 0.0, 0.0, 1e-17, -1e-12, 0.05], size)
+                )
+                deltas = rng.choice([1e-3, 0.01, 0.04, 0.3, 0.6, 0.9], size)
+                history.append(
+                    [RitzPair(float(v), float(d), k) for v, d in zip(values, deltas)]
+                )
+            for prev, row in zip(history, history[1:]):
+                at_gate += sum(
+                    abs(p.value - q.value) == lanczos.MATCH_GATE
+                    for p in prev
+                    for q in row
+                )
+            assert lanczos._label_history(history) == _brute_force_labels(history)
+        assert at_gate > 0
 
     def test_short_history_is_undecided(self):
         # Three iterations of deltas are needed to call a track either way.
