@@ -183,7 +183,7 @@ def _lanczos_trace(
 # subcommands
 
 
-def _cmd_solve_waxman(cfg: dict, stream: IO[str]) -> int:
+def _cmd_solve_waxman(cfg: dict, stream: IO[str]) -> None:
     V = _build_potential(cfg)
     solve = wx.WaxmanConfig(
         epsilon=cfg["epsilon"], sector=cfg["sector"], **_waxman_overrides(cfg)
@@ -196,15 +196,12 @@ def _cmd_solve_waxman(cfg: dict, stream: IO[str]) -> int:
     stream.write(f"residual={result.residual:.17g}\n")
     stream.write(f"converged={'true' if result.converged else 'false'}\n")
     if not result.converged:
-        print(
-            f"error: fixed point did not converge within {solve.max_iter} iterations",
-            file=sys.stderr,
+        raise SolverError(
+            f"fixed point did not converge within {solve.max_iter} iterations"
         )
-        return 2
-    return 0
 
 
-def _cmd_sweep(cfg: dict, stream: IO[str]) -> int:
+def _cmd_sweep(cfg: dict, stream: IO[str]) -> None:
     V = _build_potential(cfg)
     output = cfg["output"]
     points = wx.sweep_results(
@@ -216,12 +213,10 @@ def _cmd_sweep(cfg: dict, stream: IO[str]) -> int:
     stream.write(f"wrote {len(points)} sweep points to {output}\n")
     stream.write(f"converged {n_ok} of {len(points)}\n")
     if n_ok == 0:
-        print("error: no sweep point converged", file=sys.stderr)
-        return 2
-    return 0
+        raise SolverError("no sweep point converged")
 
 
-def _cmd_invert(cfg: dict, stream: IO[str]) -> int:
+def _cmd_invert(cfg: dict, stream: IO[str]) -> None:
     V = _build_potential(cfg)
     curve = wx.sweep_epsilon(
         cfg["epsilons"], V, sector=cfg["sector"], **_waxman_overrides(cfg)
@@ -231,20 +226,18 @@ def _cmd_invert(cfg: dict, stream: IO[str]) -> int:
     stream.write(f"lambda={cfg['lambda']:.17g}\n")
     stream.write(f"epsilon={epsilon:.17g}\n")
     stream.write(f"energy={-epsilon:.17g}\n")
-    return 0
 
 
-def _cmd_threshold(cfg: dict, stream: IO[str]) -> int:
+def _cmd_threshold(cfg: dict, stream: IO[str]) -> None:
     V = _build_potential(cfg)
     lam_star = wx.threshold_lambda(
         V, cfg["sector"], cfg["epsilon_tail"], **_waxman_overrides(cfg)
     )
     _print_header(cfg, stream)
     stream.write(f"threshold_lambda={lam_star:.17g}\n")
-    return 0
 
 
-def _cmd_solve_lanczos(cfg: dict, stream: IO[str]) -> int:
+def _cmd_solve_lanczos(cfg: dict, stream: IO[str]) -> None:
     output = cfg["output"]
     labelled = _lanczos_trace(_build_potential(cfg), cfg["lambda"], cfg["m"], output)
     _print_header(cfg, stream)
@@ -253,10 +246,9 @@ def _cmd_solve_lanczos(cfg: dict, stream: IO[str]) -> int:
     stream.write("index value delta label\n")
     for i, (pair, label) in enumerate(labelled):
         stream.write(f"{i} {pair.value:.17g} {pair.delta:.17g} {label}\n")
-    return 0
 
 
-def _cmd_oracle(cfg: dict, stream: IO[str]) -> int:
+def _cmd_oracle(cfg: dict, stream: IO[str]) -> None:
     spec = _build_spec(cfg)
     lam = cfg["lambda"]
     parity = cfg["parity"]
@@ -269,7 +261,6 @@ def _cmd_oracle(cfg: dict, stream: IO[str]) -> int:
     _print_header(cfg, stream)
     stream.write(f"epsilon={epsilon:.17g}\n")
     stream.write(f"energy={-epsilon:.17g}\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +442,7 @@ class _Command:
     """A config-driven subcommand: its solver, required keys and own defaults."""
 
     solver: str
-    run: Callable[[dict, IO[str]], int]
+    run: Callable[[dict, IO[str]], None]
     required: tuple[str, ...] = ()
     defaults: dict = field(default_factory=dict)
 
@@ -516,13 +507,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "reproduce-paper":
             return 0 if run_reproduce_paper(args.output_dir, sys.stdout) else 2
         command = _COMMANDS[args.command]
-        return command.run(_merge_config(args, command), sys.stdout)
+        command.run(_merge_config(args, command), sys.stdout)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:  # NoBoundStateError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

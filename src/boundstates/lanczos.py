@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -37,12 +37,16 @@ class Hamiltonian:
 
     V: SampledFunction
     lam: float
+    lam_v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_positive("coupling lam", self.lam)
+        # An overflowing product reads as inf and fails the guard below.
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "lam_v", self.lam * self.V.values)
         # Past this bound on ||H||, <psi|H^2 psi> of a unit state can overflow.
         h, n = self.grid.spacing, self.grid.n_points
-        norm_bound = 4.0 / (h * h) + self.lam * float(np.max(np.abs(self.V.values)))
+        norm_bound = 4.0 / (h * h) + float(np.max(np.abs(self.lam_v)))
         if not norm_bound < math.sqrt(sys.float_info.max * h / n):
             raise ValueError(
                 f"coupling lam={self.lam!r} is too large: the operator norm "
@@ -66,13 +70,13 @@ def _norm(grid: Grid, f: np.ndarray) -> float:
 
 
 def _apply_values(
-    H: Hamiltonian, v: np.ndarray, out: np.ndarray, lam_v: np.ndarray, scratch: np.ndarray
+    H: Hamiltonian, v: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> None:
     """Write H v into ``out`` along the last axis: one state or a block of rows.
 
-    ``lam_v`` is ``H.lam * H.V.values`` and ``scratch`` has v's shape; a
-    caller that applies H many times makes both once.  Every element sees the
-    same operations in the same order whatever the block, so rows keep their
+    ``scratch`` has v's shape and may be ``v`` itself, which the stencil has
+    read in full before ``scratch`` is written.  Every element sees the same
+    operations in the same order whatever the block, so rows keep their
     bits.  ``out`` must be C-contiguous and must not overlap ``v``.
     """
     h2 = H.grid.spacing * H.grid.spacing
@@ -86,7 +90,7 @@ def _apply_values(
     inner /= h2
     out[..., 0] = (2.0 * v[..., 0] - v[..., 1]) / h2
     out[..., -1] = (2.0 * v[..., -1] - v[..., -2]) / h2
-    np.multiply(lam_v, v, out=scratch)
+    np.multiply(H.lam_v, v, out=scratch)
     out -= scratch
 
 
@@ -94,7 +98,7 @@ def hamiltonian_apply(H: Hamiltonian, u: SampledFunction) -> SampledFunction:
     """Apply the operator: central second difference (zero outside) - lam*V*u."""
     grid = check_same_grid(H.grid, u.grid, "state must live on the Hamiltonian's grid")
     out = np.empty_like(u.values)
-    _apply_values(H, u.values, out, H.lam * H.V.values, np.empty_like(out))
+    _apply_values(H, u.values, out, np.empty_like(out))
     return SampledFunction(grid, out)
 
 
@@ -138,10 +142,9 @@ def lanczos_run(
     betas: list[float] = []
     beta_prev = 0.0
     h = grid.spacing
-    lam_v = H.lam * H.V.values
     w, scratch = np.empty((2, grid.n_points))
     for k in range(rows):
-        _apply_values(H, Q[k], w, lam_v, scratch)
+        _apply_values(H, Q[k], w, scratch)
         alpha = _dot(grid, Q[k], w)
         alphas.append(alpha)
         if k == rows - 1:
@@ -193,56 +196,39 @@ class RitzPair:
     iteration: int
 
 
-def _gauge_block(H: Hamiltonian, rows: int) -> np.ndarray:
-    # psi, H psi, H^2 psi and the stencil's scratch for up to ``rows`` states.
-    return np.empty((4, rows, H.grid.n_points))
-
-
-def _block_deltas(
-    H: Hamiltonian, lam_v: np.ndarray, block: np.ndarray, values: Sequence[float]
-) -> list[float]:
-    # Gauge of the unit states in the first len(values) rows of block[0]:
-    # two applies of H cover them all, then one dot per row.
-    grid = H.grid
-    psi, hpsi, hhpsi, scratch = block[:, : len(values)]
-    _apply_values(H, psi, hpsi, lam_v, scratch)
-    _apply_values(H, hpsi, hhpsi, lam_v, scratch)
-    return [
-        abs(value * value - _dot(grid, row, hhrow))
-        for value, row, hhrow in zip(values, psi, hhpsi)
-    ]
-
-
 def delta_check(H: Hamiltonian, state: SampledFunction, value: float) -> float:
     """Residual-norm-squared gauge |e^2 - <psi|H^2|psi>| for a unit state."""
-    check_same_grid(H.grid, state.grid, "state must live on the Hamiltonian's grid")
-    block = _gauge_block(H, 1)
-    block[0, 0] = state.values
-    return _block_deltas(H, H.lam * H.V.values, block, [value])[0]
+    hhpsi = hamiltonian_apply(H, hamiltonian_apply(H, state))
+    return abs(value * value - _dot(H.grid, state.values, hhpsi.values))
 
 
 def _score_prefixes(
     run: LanczosRun, H: Hamiltonian, lengths: Sequence[int]
 ) -> list[list[RitzPair]]:
-    # One basis stack, lam*V and gauge block serve every prefix scored.
+    # One basis stack and one block each of psi, H psi and H^2 psi serve
+    # every prefix scored.
     grid = H.grid
     Q = np.stack([b.values for b in run.basis])
-    lam_v = H.lam * H.V.values
     rows = min(_BLOCK_ROWS, run.m)
-    block = _gauge_block(H, rows)
+    psi, hpsi, hhpsi = np.empty((3, rows, grid.n_points))
     history = []
     for k in lengths:
         eigen = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
         pairs = []
         for start in range(0, k, rows):
             chunk = eigen[start : start + rows]
-            for (_, z), psi in zip(chunk, block[0]):
+            b = len(chunk)
+            for (_, z), row in zip(chunk, psi):
                 # One product per vector: a batched Z.T @ Q moves the last bits of delta.
-                np.matmul(z, Q[:k], out=psi)
-                psi /= _norm(grid, psi)
-            values = [value for value, _ in chunk]
-            deltas = _block_deltas(H, lam_v, block, values)
-            pairs += [RitzPair(v, d, k) for v, d in zip(values, deltas)]
+                np.matmul(z, Q[:k], out=row)
+                row /= _norm(grid, row)
+            # H psi is the second apply's input and its scratch: it is not read again.
+            _apply_values(H, psi[:b], hpsi[:b], hhpsi[:b])
+            _apply_values(H, hpsi[:b], hhpsi[:b], hpsi[:b])
+            pairs += [
+                RitzPair(value, abs(value * value - _dot(grid, row, hhrow)), k)
+                for (value, _), row, hhrow in zip(chunk, psi, hhpsi)
+            ]
         history.append(pairs)
     return history
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import NoBoundStateError, SolverError
 from .grid import Grid, SampledFunction, check_positive, check_same_grid, find_root
+from .lanczos import Hamiltonian, hamiltonian_apply
 
 SECTORS = ("full", "odd")
 
@@ -463,17 +464,15 @@ def threshold_lambda(
 def bound_state_residual(
     u: SampledFunction, V: SampledFunction, lam: float, epsilon: float
 ) -> float:
-    """Sup-norm of the second-difference eigenvalue residual on interior nodes.
+    """Sup-norm of (H + epsilon) u on interior nodes, H the grid Hamiltonian.
 
-    Interior nodes only: the three-point stencil needs both neighbours, and
-    the iterate carries genuine (small but nonzero) values at the domain
-    edge that a zero-extension closure would misread as error.
+    H is the Dirichlet operator whose Ritz pairs ``lanczos`` scores, so both
+    routes are judged by one stencil.  Interior nodes only: the iterate
+    carries genuine (small but nonzero) values at the domain edge that the
+    zero-extension closure of the end rows would misread as error.
     """
-    grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
-    h = grid.spacing
-    v = u.values
-    lap = (2.0 * v[1:-1] - v[:-2] - v[2:]) / (h * h)
-    r = lap - lam * V.values[1:-1] * v[1:-1] + epsilon * v[1:-1]
+    r = hamiltonian_apply(Hamiltonian(V, lam), u).values[1:-1]
+    r += epsilon * u.values[1:-1]
     return float(np.max(np.abs(r)))
 
 

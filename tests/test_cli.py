@@ -344,6 +344,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: missing required keys: {key}\n"
 
+    @pytest.mark.parametrize(
+        "argv, report, error",
+        [
+            (
+                ["solve-waxman", "--epsilon", "0.5", "--max-iter", "2"],
+                "epsilon=0.5\nlambda=1.03101462055128\niterations=2\n"
+                "residual=0.048681179091208171\nconverged=false\n",
+                "fixed point did not converge within 2 iterations",
+            ),
+            (
+                ["sweep", "--epsilons", "0.3,0.5", "--max-iter", "1",
+                 "--output", "s.csv"],
+                "wrote 2 sweep points to s.csv\nconverged 0 of 2\n",
+                "no sweep point converged",
+            ),
+        ],
+    )
+    def test_unconverged_run_reports_then_exits_2(
+        self, argv, report, error, capsys, tmp_path, monkeypatch
+    ):
+        # The report is written in full before the solver error ends the run.
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--potential", "gaussian", "--n-points", "601"])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.splitlines(keepends=True)
+        header = [line for line in lines if line.startswith("# ")]
+        assert header[0] == "# potential=gaussian\n"
+        assert "".join(lines[len(header) :]) == report
+        assert captured.err == f"error: {error}\n"
+
     def test_kernel_overflow_is_2(self, capsys, recwarn):
         # exp(sqrt(200) * 60) = exp(848) is past the float range: a numerical
         # failure, reported before any exponential is computed.

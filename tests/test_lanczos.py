@@ -122,7 +122,7 @@ class TestHamiltonianApply:
         h2 = g.spacing * g.spacing
         v = rng.normal(size=(3, g.n_points))
         out, scratch = np.empty_like(v), np.empty_like(v)
-        lanczos._apply_values(H, v, out, H.lam * H.V.values, scratch)
+        lanczos._apply_values(H, v, out, scratch)
         for row, hrow in zip(v, out):
             expect = np.empty_like(row)
             expect[1:-1] = (2.0 * row[1:-1] - row[:-2] - row[2:]) / h2
@@ -132,6 +132,15 @@ class TestHamiltonianApply:
             assert np.array_equal(hrow, expect)
             single = hamiltonian_apply(H, SampledFunction(g, row)).values
             assert np.array_equal(single, expect)
+
+    def test_overflowing_lam_v_is_too_large(self, recwarn):
+        # lam*V is computed before the norm guard reads it: a product past
+        # the float range must reach the guard as inf, with no warning.
+        g = make_grid(12.0, 161)
+        V = SampledFunction(g, np.full(g.n_points, 4.0))
+        with pytest.raises(ValueError, match="too large"):
+            Hamiltonian(V, 1e308)
+        assert len(recwarn) == 0
 
     def test_grid_mismatch(self, gaussian_fine):
         H = Hamiltonian(gaussian_fine, 1.0)
@@ -370,6 +379,23 @@ class TestRitzPairs:
             tracemalloc.stop()
         assert sum(map(len, history)) == 5050
         assert peak < 8e6
+
+    def test_gauge_holds_three_blocks(self):
+        # Past the basis stack, the history holds psi, H psi and H^2 psi in
+        # blocks of 16 rows and no fourth scratch block: the second apply
+        # uses its own input as scratch.  lam*V belongs to the Hamiltonian.
+        n, m = 2401, 40
+        g = make_grid(12.0, n)
+        H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+        run = lanczos_run(H, start_vector(g), m)
+        tracemalloc.start()
+        try:
+            ritz_history(run, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = (peak - 8 * m * n) / (8 * lanczos._BLOCK_ROWS * n)
+        assert blocks < 4.2
 
 
 class TestDeltaCheck:

@@ -463,3 +463,23 @@ class TestResidualProperty:
         r = bound_state_residual(res.u, gaussian_fine, res.lam, res.epsilon)
         h = gaussian_fine.grid.spacing
         assert r <= 10.0 * h * h
+
+    @pytest.mark.parametrize("sector", ["full", "odd"])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("well", ["gaussian_fine", "poschl_teller_fine"])
+    def test_residual_is_the_three_point_formula(self, well, sector, epsilon, request):
+        # The residual applies the Lanczos Hamiltonian; on interior nodes it
+        # must keep the bits of the explicit three-point formula.
+        V = request.getfixturevalue(well)
+        res = waxman_fixed_point(WaxmanConfig(epsilon=epsilon, sector=sector), V)
+        v, h = res.u.values, V.grid.spacing
+        lap = (2.0 * v[1:-1] - v[:-2] - v[2:]) / (h * h)
+        r = lap - res.lam * V.values[1:-1] * v[1:-1] + epsilon * v[1:-1]
+        expect = float(np.max(np.abs(r)))
+        assert bound_state_residual(res.u, V, res.lam, epsilon) == expect
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_nonpositive_coupling_rejected(self, gaussian_fine, lam):
+        res = waxman_fixed_point(WaxmanConfig(epsilon=0.5), gaussian_fine)
+        with pytest.raises(ValueError, match="coupling lam must be positive"):
+            bound_state_residual(res.u, gaussian_fine, lam, res.epsilon)
