@@ -77,9 +77,12 @@ class _KernelScan:
     where they do not, the scan raises ``SolverError`` before computing any.
     It holds the weights and the two running integrals, allocated once; an
     apply needs no other scratch, and its output may overwrite its input.
+
+    The odd sector, and the full sector on exactly even input (``even``),
+    scan only the nodes x >= 0; ``mirror`` extends them by ``parity`` (-1, +1).
     """
 
-    def __init__(self, grid: Grid, epsilon: float, sector: str):
+    def __init__(self, grid: Grid, epsilon: float, sector: str, even: bool = False):
         self.grid = grid
         self.epsilon = epsilon
         self.sector = sector
@@ -89,48 +92,50 @@ class _KernelScan:
                 f"kernel weights exp(sqrt(eps) * half_width) overflow at "
                 f"epsilon={epsilon:g}, half_width={grid.half_width:g}"
             )
-        self._mid = 0 if sector == "full" else grid.mid_index
-        x = grid.points[self._mid :]
+        self.parity = -1.0 if sector == "odd" else 1.0 if even else 0.0
+        self.start = grid.mid_index if self.parity else 0
+        x = grid.points[self.start :]
         self.grow = np.exp(self.s * x)
         # make_grid is exactly antisymmetric and (-s)*x == s*(-x), so on the
         # full box the mirror of exp(s x) is exp(-s x) bit for bit.
-        self.decay = self.grow[::-1] if sector == "full" else np.exp(-self.s * x)
+        self.decay = np.exp(-self.s * x) if self.start else self.grow[::-1]
         self._left, self._right = np.empty_like(x), np.empty_like(x)
         self._half_h, self._two_s = 0.5 * grid.spacing, 2.0 * self.s
 
     def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Kernel image of ``f``, written into ``out``, which may be ``f`` itself."""
+        """Kernel image of ``f`` in ``out`` (may be f), both on x >= 0 with a parity."""
         if out is None:
             out = np.empty_like(f)
-        left, right, mid = self._left, self._right, self._mid
-        # Odd sector: integrate the image kernel over x' >= 0 (its natural
-        # domain) and extend antisymmetrically.  For odd input this equals
-        # the whole-line integral of the plain kernel.
-        image = out[mid:]
-        # Trapezoid integral of grow*f from the left edge (product in ``right``).
-        np.multiply(self.grow, f[mid:], out=right)
+        left, right = self._left, self._right
+        # Trapezoid pair sums of grow*f (product in ``right``), summed below.
+        np.multiply(self.grow, f, out=right)
         np.add(right[1:], right[:-1], out=left[1:])
-        left[0] = 0.0
         left[1:] *= self._half_h
-        np.add.accumulate(left[1:], out=left[1:])
-        # Integral of decay*f from the right edge, in ``image``: f is read no more.
-        np.multiply(self.decay, f[mid:], out=right)
-        np.add(right[1:], right[:-1], out=image[:-1])
-        image[-1] = 0.0
-        image[:-1] *= self._half_h
-        np.add.accumulate(image[-2::-1], out=image[-2::-1])
-        if mid:
-            left -= image[0]
+        # Integral of decay*f from the right edge, in ``out``: f is read no more.
+        np.multiply(self.decay, f, out=right)
+        np.add(right[1:], right[:-1], out=out[:-1])
+        out[-1] = 0.0
+        out[:-1] *= self._half_h
+        np.add.accumulate(out[-2::-1], out=out[-2::-1])
+        # Integral of grow*f from the left edge.  On even input its part over
+        # x < 0 is the right integral from 0, summed in the same order; the odd
+        # sector integrates the image kernel, for odd input the plain kernel.
+        if self.parity > 0:
+            left[0] = out[0]
+            np.add.accumulate(left, out=left)
+        else:
+            left[0] = 0.0
+            np.add.accumulate(left[1:], out=left[1:])
+            if self.parity:
+                left -= out[0]
         left *= self.decay
-        image *= self.grow
-        image += left
-        image /= self._two_s
-        if mid:
-            np.negative(image[:0:-1], out=out[:mid])
+        out *= self.grow
+        out += left
+        out /= self._two_s
         return out
 
     def step(self, f: np.ndarray, idx: int, out: np.ndarray) -> float:
-        """Kernel image of ``f`` into ``out`` (may be f), divided by its value at idx.
+        """Kernel image of ``f`` in ``out`` (may be f), over its value at grid node idx.
 
         Returns the divisor.  A divisor below 1e-14 of the image's scale
         (taken as at least 1) means the map vanishes at the reference node:
@@ -138,7 +143,8 @@ class _KernelScan:
         along the sector's dominant mode.  Only ``out`` is written.
         """
         self.apply(f, out=out)
-        denom = out[idx]
+        k = idx - self.start
+        denom = out[k] if k >= 0 else self.parity * out[-k]
         scale = max(np.maximum.reduce(out), -np.minimum.reduce(out), 1.0)
         if abs(denom) < _DENOMINATOR_FLOOR * scale:
             raise NoBoundStateError(
@@ -149,17 +155,31 @@ class _KernelScan:
         out /= denom
         return denom
 
+    def mirror(self, out: np.ndarray) -> np.ndarray:
+        """Fill the nodes x < 0 of whole-grid ``out`` from x >= 0 by the parity."""
+        if self.start:
+            np.multiply(out[: self.start : -1], self.parity, out=out[: self.start])
+        return out
+
 
 @contextmanager
-def _scan(grid: Grid, epsilon: float, sector: str) -> Iterator[_KernelScan]:
+def _scan(grid: Grid, epsilon: float, sector: str, even=False) -> Iterator[_KernelScan]:
     """A kernel scan whose float overflow raises ``SolverError``, not a warning."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            yield _KernelScan(grid, epsilon, sector)
+            yield _KernelScan(grid, epsilon, sector, even)
     except FloatingPointError as exc:
         raise SolverError(
             f"kernel scan overflow at epsilon={epsilon:g} ({sector} sector): {exc}"
         ) from exc
+
+
+def _ref_index(grid: Grid, x_ref: float, sector: str) -> int:
+    """Grid index of ``x_ref``; the odd sector's states vanish at the origin."""
+    idx = grid.node_index(x_ref)
+    if sector == "odd" and idx == grid.mid_index:
+        raise ValueError("odd sector requires x_ref != 0 (the state vanishes there)")
+    return idx
 
 
 def _kernel_step(
@@ -167,9 +187,11 @@ def _kernel_step(
 ) -> tuple[np.ndarray, float]:
     """Kernel image of V*u divided by its value at x_ref, and that divisor."""
     grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
+    idx = _ref_index(grid, x_ref, kernel.sector)
     with _scan(grid, kernel.epsilon, kernel.sector) as scan:
         w = np.multiply(V.values, u.values)
-        return w, scan.step(w, grid.node_index(x_ref), w)
+        denom = scan.step(w[scan.start :], idx, w[scan.start :])
+        return scan.mirror(w), denom
 
 
 def apply_kernel(
@@ -179,7 +201,8 @@ def apply_kernel(
     grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
     with _scan(grid, kernel.epsilon, kernel.sector) as scan:
         w = np.multiply(V.values, u.values)
-        return SampledFunction(grid, scan.apply(w, out=w))
+        scan.apply(w[scan.start :], out=w[scan.start :])
+        return SampledFunction(grid, scan.mirror(w))
 
 
 def lambda_from(
@@ -214,8 +237,8 @@ class WaxmanConfig:
     def __post_init__(self):
         GreensKernel(self.epsilon, self.sector)  # validates epsilon and sector
         check_positive("tol", self.tol)
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -248,19 +271,18 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     """
     grid = V.grid
     x_ref = cfg.x_ref if cfg.x_ref is not None else default_x_ref(grid, cfg.sector)
-    idx = grid.node_index(x_ref)
-    if cfg.sector == "odd" and idx == grid.mid_index:
-        raise ValueError("odd sector requires x_ref != 0 (the state vanishes there)")
-
-    # Ones (full sector) or x (odd sector): nonzero at every admissible x_ref.
-    u = np.ones(grid.n_points) if cfg.sector == "full" else grid.points.copy()
-    u /= u[idx]
-
-    # The loop holds only u and the next iterate w: V*u goes into w, the step
-    # maps it in place, and u - w lands in u (abs reads an all-zero one as +0.0).
-    Vv, w = V.values, np.empty_like(u)
+    idx = _ref_index(grid, x_ref, cfg.sector)
+    # On an exactly even well every full-sector iterate is exactly even, so
+    # both sectors iterate on the nodes x >= 0 and unfold u once at the end.
+    even = cfg.sector == "full" and np.array_equal(V.values, V.values[::-1])
     residual, converged, iterations = math.inf, False, 0
-    with _scan(grid, cfg.epsilon, cfg.sector) as scan:
+    with _scan(grid, cfg.epsilon, cfg.sector, even) as scan:
+        # Ones (full sector) or x (odd sector): nonzero at every admissible x_ref.
+        x = grid.points[scan.start :]
+        u = np.ones_like(x) if cfg.sector == "full" else x / grid.points[idx]
+        # The loop holds only u and the next iterate w: V*u goes into w, the step
+        # maps it in place, u - w lands in u (abs reads an all-zero one as +0.0).
+        Vv, w = V.values[scan.start :], np.empty_like(u)
         for iterations in range(1, cfg.max_iter + 1):
             scan.step(np.multiply(Vv, u, out=w), idx, w)
             u -= w
@@ -269,14 +291,12 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
             if residual <= cfg.tol:
                 converged = True
                 break
-        return WaxmanResult(
-            u=SampledFunction(grid, u),
-            lam=1.0 / scan.step(np.multiply(Vv, u, out=w), idx, w),
-            epsilon=cfg.epsilon,
-            iterations=iterations,
-            residual=residual,
-            converged=converged,
-        )
+        lam = 1.0 / scan.step(np.multiply(Vv, u, out=w), idx, w)
+        if scan.start:  # pad u to the whole grid; the mirror fills the pad
+            u = scan.mirror(np.pad(u, (scan.start, 0)))
+    return WaxmanResult(
+        SampledFunction(grid, u), lam, cfg.epsilon, iterations, residual, converged
+    )
 
 
 def _epsilon_array(

@@ -19,6 +19,7 @@ from boundstates import (
     sample_potential,
     waxman_fixed_point,
 )
+from boundstates import waxman
 from boundstates.waxman import _KernelScan
 
 # Identity used below: (-d^2/dx^2 + 1) sech = 2 sech^3, so convolving the
@@ -187,9 +188,11 @@ def _reference_apply(scan, f):
 
 
 def _reference_fixed_point(cfg, V):
-    # The fixed-point loop with a fresh array for every intermediate.
+    # The fixed-point loop on the whole grid, with a fresh array for every
+    # intermediate; it reads x_ref, tol and max_iter from cfg.
     grid = V.grid
-    idx = grid.node_index(default_x_ref(grid, cfg.sector))
+    x_ref = cfg.x_ref if cfg.x_ref is not None else default_x_ref(grid, cfg.sector)
+    idx = grid.node_index(x_ref)
     u = np.ones(grid.n_points) if cfg.sector == "full" else grid.points
     u = u / u[idx]
     scan = _KernelScan(grid, cfg.epsilon, cfg.sector)
@@ -211,19 +214,35 @@ class TestBufferedScan:
     @pytest.mark.parametrize("n_points", [2401, 50001])
     @pytest.mark.parametrize("sector", ["full", "odd"])
     def test_apply_bit_identical(self, n_points, sector, rng):
+        self._check_apply(n_points, sector, False, rng)
+
+    @pytest.mark.parametrize("n_points", [2401, 50001])
+    def test_even_half_axis_apply_bit_identical(self, n_points, rng):
+        # Even input to the full-sector kernel may take the half-axis apply.
+        self._check_apply(n_points, "full", True, rng)
+
+    @staticmethod
+    def _check_apply(n_points, sector, even, rng):
+        # A scan with a parity reads and writes the nodes x >= 0 only; its
+        # mirror must then give the whole-grid reference.
         g = make_grid(12.0, n_points)
         V = sample_potential(PotentialSpec.gaussian(), g)
         for eps in (1e-3, 0.5, 170.0):
-            scan = _KernelScan(g, eps, sector)
+            scan = _KernelScan(g, eps, sector, even)
+            ref, start = _KernelScan(g, eps, sector), scan.start
             for _ in range(2):  # the second apply runs on used work arrays
-                f = V.values * rng.normal(size=n_points)
-                expected = _reference_apply(scan, f)
-                assert np.array_equal(scan.apply(f), expected)
+                r = rng.normal(size=n_points)
+                f = V.values * (r + r[::-1] if even else r)
+                expected = _reference_apply(ref, f)
+                assert np.array_equal(scan.apply(f[start:]), expected[start:])
                 out = np.full(n_points, np.nan)
-                assert scan.apply(f, out=out) is out
+                half = out[start:]
+                assert scan.apply(f[start:], out=half) is half
+                assert scan.mirror(out) is out
                 assert np.array_equal(out, expected)
-                assert scan.apply(f, out=f) is f  # in place
-                assert np.array_equal(f, expected)
+                half = f[start:]
+                assert scan.apply(half, out=half) is half  # in place
+                assert np.array_equal(scan.mirror(f), expected)
 
     @pytest.mark.parametrize("eps", [1.0, 170.0])
     @pytest.mark.parametrize("sector", ["full", "odd"])
@@ -239,6 +258,43 @@ class TestBufferedScan:
 
     @pytest.mark.parametrize("n_points", [161, 2401, 50001])
     @pytest.mark.parametrize("sector", ["full", "odd"])
+    @pytest.mark.parametrize("well", ["gaussian", "poschl_teller", "square_well", "table"])
+    def test_solve_matches_whole_line_reference(self, well, sector, n_points, monkeypatch):
+        # An even well's solve runs on x >= 0 in both sectors; an uneven
+        # (table) well keeps the whole line in the full sector.  Every byte of
+        # u (signed zeros included: the square well is exactly 0 outside
+        # |x| <= 1) and lam, iterations and residual match the reference.
+        g = make_grid(12.0, n_points)
+        if well == "table":
+            V = SampledFunction(g, np.exp(-0.5 * (g.points - 0.3) ** 2))
+        elif well == "square_well":
+            V = sample_potential(PotentialSpec.square_well(1.0), g)
+        else:
+            V = sample_potential(PotentialSpec(well), g)
+        starts = []
+
+        class Recording(_KernelScan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                starts.append(self.start)
+
+        monkeypatch.setattr(waxman, "_KernelScan", Recording)
+        mid = g.mid_index
+        cases = [(eps, None, 500) for eps in (1e-3, 0.05, 1.0, 175.0)]
+        for eps in (0.05, 175.0):  # x_ref 7 nodes either side of the origin
+            cases += [(eps, float(g.points[mid + k]), 500) for k in (7, -7)]
+        cases += [(1.0, float(g.points[mid - 7]), 3), (175.0, None, 3)]
+        for eps, x_ref, max_iter in cases:
+            cfg = WaxmanConfig(eps, x_ref, max_iter=max_iter, sector=sector)
+            res = waxman_fixed_point(cfg, V)
+            lam, iterations, residual, u = _reference_fixed_point(cfg, V)
+            assert (res.lam, res.iterations, res.residual) == (lam, iterations, residual)
+            assert res.u.values.tobytes() == u.tobytes()
+        whole_line = well == "table" and sector == "full"
+        assert starts == [0 if whole_line else mid] * len(cases)
+
+    @pytest.mark.parametrize("n_points", [161, 2401, 50001])
+    @pytest.mark.parametrize("sector", ["full", "odd"])
     def test_decay_is_exp_minus_s_x(self, n_points, sector):
         # The reference apply reads scan.decay, so check the weight itself:
         # in the full sector it is the mirror of grow, not a second exp.
@@ -250,12 +306,14 @@ class TestBufferedScan:
                 assert np.array_equal(scan.decay, np.exp(-scan.s * x))
 
     @pytest.mark.parametrize(
-        "sector,solve_arrays,apply_arrays", [("full", 5.2, 4.2), ("odd", 4.2, 3.2)]
+        "sector,solve_arrays,apply_arrays", [("full", 4.2, 4.2), ("odd", 4.2, 3.2)]
     )
     def test_scan_holds_few_arrays(self, sector, solve_arrays, apply_arrays):
-        # A solve holds u, w, the weight grow (decay too on the half-axis) and
-        # the two running integrals; apply_kernel holds V*u in place of u and
-        # w.  Counted in n-sized float arrays; numpy reports them to tracemalloc.
+        # On an even well a solve of either sector holds u, w, grow, decay and
+        # the two running integrals on the half-axis, then the unfolded u;
+        # apply_kernel holds V*u and the scan's arrays (whole-line in the full
+        # sector, where grow read backwards is decay).  Counted in n-sized
+        # float arrays; numpy reports them to tracemalloc.
         n = 50001
         g = make_grid(12.0, n)
         V = sample_potential(PotentialSpec.gaussian(), g)

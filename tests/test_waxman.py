@@ -159,10 +159,28 @@ class TestFixedPoint:
         assert v[fine_grid.node_index(1.0)] == 1.0
 
     def test_odd_sector_rejects_origin_reference(self, gaussian_fine):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="odd sector requires x_ref != 0"):
             waxman_fixed_point(
                 WaxmanConfig(epsilon=0.3, sector="odd", x_ref=0.0), gaussian_fine
             )
+
+    @pytest.mark.parametrize("entry", [lambda_from, waxman_step], ids=lambda f: f.__name__)
+    def test_one_shot_odd_entries_reject_origin_reference(
+        self, entry, fine_grid, gaussian_fine
+    ):
+        # The same ValueError as the solve, not a vanishing kernel integral.
+        u = SampledFunction(fine_grid, fine_grid.points)
+        with pytest.raises(ValueError, match="odd sector requires x_ref != 0"):
+            entry(GreensKernel(0.3, "odd"), gaussian_fine, u, 0.0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, 0])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            WaxmanConfig(epsilon=0.5, max_iter=max_iter)
+
+    def test_max_iter_accepts_numpy_integers(self, gaussian_fine):
+        cfg = WaxmanConfig(epsilon=0.5, max_iter=np.int64(2))
+        assert waxman_fixed_point(cfg, gaussian_fine).iterations == 2
 
     def test_default_reference_nodes(self, fine_grid):
         assert default_x_ref(fine_grid, "full") == 0.0
