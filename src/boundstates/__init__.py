@@ -29,7 +29,6 @@ from .lanczos import (
 )
 from .potentials import (
     PotentialSpec,
-    peak_value,
     potential_pieces,
     sample_potential,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "PotentialSpec",
     "sample_potential",
     "potential_pieces",
-    "peak_value",
     "GreensKernel",
     "WaxmanConfig",
     "LambdaEpsilonCurve",

@@ -59,10 +59,10 @@ _KEYS = (
     _Key("epsilon", float, flag="--epsilon"),
     _Key("epsilons", _float_list, flag="--epsilons"),
     _Key("epsilon_tail", _float_list, flag="--epsilon-tail"),
-    _Key("sector", str, "full", choices=wx.SECTORS, flag="--sector"),
+    _Key("sector", str, wx.WaxmanConfig.sector, choices=wx.SECTORS, flag="--sector"),
     _Key("x_ref", float, flag="--x-ref"),
-    _Key("tol", float, 1e-10, flag="--tol"),
-    _Key("max_iter", int, 500, flag="--max-iter"),
+    _Key("tol", float, wx.WaxmanConfig.tol, flag="--tol"),
+    _Key("max_iter", int, wx.WaxmanConfig.max_iter, flag="--max-iter"),
     _Key("lambda", float, 1.0, flag="--lambda"),
     _Key("m", int, 18, flag="-m"),
     _Key("parity", str, "even", choices=PARITIES, flag="--parity"),
@@ -73,7 +73,7 @@ _BY_NAME = {key.name: key for key in _KEYS}
 
 
 def _resolve(values: dict, defaults: dict, required: tuple[str, ...] = ()) -> dict:
-    """Every key, by precedence key default < command default < keys as set.
+    """Every key in table order, by precedence key default < command default < set.
 
     Raises ``ConfigError`` naming every unset key among ``potential``,
     ``required`` and the keys the chosen potential kind needs.
@@ -129,20 +129,22 @@ def parse_config(text: str) -> dict:
     return _resolve(_parse_values(text), {})
 
 
-def _print_header(cfg: dict, stream: IO[str]) -> None:
-    # The resolved configuration (defaults included) prefixes every report,
-    # so any output can be reproduced from its own header.
-    for key in _KEYS:
-        value = cfg[key.name]
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            rendered = ",".join(f"{v:.17g}" for v in value)
-        elif isinstance(value, float):
-            rendered = f"{value:.17g}"
-        else:
-            rendered = str(value)
-        stream.write(f"# {key.name}={rendered}\n")
+def _render(value) -> str:
+    """A header or result value as printed; a bool is an int, so it goes first."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(f"{v:.17g}" for v in value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _report(cfg: dict, stream: IO[str], results: dict | None = None) -> None:
+    # Every report starts with its resolved config (defaults included) as
+    # "# key=value" lines, so it can be reproduced from its own header.
+    for prefix, values in (("# ", cfg), ("", results or {})):
+        for name, value in values.items():
+            if value is not None:
+                stream.write(f"{prefix}{name}={_render(value)}\n")
 
 
 def _build_spec(cfg: dict) -> PotentialSpec:
@@ -188,14 +190,12 @@ def _cmd_solve_waxman(cfg: dict, stream: IO[str]) -> None:
     solve = wx.WaxmanConfig(
         epsilon=cfg["epsilon"], sector=cfg["sector"], **_waxman_overrides(cfg)
     )
-    result = wx.waxman_fixed_point(solve, V)
-    _print_header(cfg, stream)
-    stream.write(f"epsilon={result.epsilon:.17g}\n")
-    stream.write(f"lambda={result.lam:.17g}\n")
-    stream.write(f"iterations={result.iterations}\n")
-    stream.write(f"residual={result.residual:.17g}\n")
-    stream.write(f"converged={'true' if result.converged else 'false'}\n")
-    if not result.converged:
+    r = wx.waxman_fixed_point(solve, V)
+    _report(cfg, stream, {
+        "epsilon": r.epsilon, "lambda": r.lam, "iterations": r.iterations,
+        "residual": r.residual, "converged": r.converged,
+    })
+    if not r.converged:
         raise SolverError(
             f"fixed point did not converge within {solve.max_iter} iterations"
         )
@@ -208,7 +208,7 @@ def _cmd_sweep(cfg: dict, stream: IO[str]) -> None:
         cfg["epsilons"], V, sector=cfg["sector"], **_waxman_overrides(cfg)
     )
     _write_csv(output, wx.write_sweep_csv, points)
-    _print_header(cfg, stream)
+    _report(cfg, stream)
     n_ok = sum(p.converged for p in points)
     stream.write(f"wrote {len(points)} sweep points to {output}\n")
     stream.write(f"converged {n_ok} of {len(points)}\n")
@@ -222,10 +222,9 @@ def _cmd_invert(cfg: dict, stream: IO[str]) -> None:
         cfg["epsilons"], V, sector=cfg["sector"], **_waxman_overrides(cfg)
     )
     epsilon = wx.invert_curve(curve, cfg["lambda"])
-    _print_header(cfg, stream)
-    stream.write(f"lambda={cfg['lambda']:.17g}\n")
-    stream.write(f"epsilon={epsilon:.17g}\n")
-    stream.write(f"energy={-epsilon:.17g}\n")
+    _report(
+        cfg, stream, {"lambda": cfg["lambda"], "epsilon": epsilon, "energy": -epsilon}
+    )
 
 
 def _cmd_threshold(cfg: dict, stream: IO[str]) -> None:
@@ -233,14 +232,13 @@ def _cmd_threshold(cfg: dict, stream: IO[str]) -> None:
     lam_star = wx.threshold_lambda(
         V, cfg["sector"], cfg["epsilon_tail"], **_waxman_overrides(cfg)
     )
-    _print_header(cfg, stream)
-    stream.write(f"threshold_lambda={lam_star:.17g}\n")
+    _report(cfg, stream, {"threshold_lambda": lam_star})
 
 
 def _cmd_solve_lanczos(cfg: dict, stream: IO[str]) -> None:
     output = cfg["output"]
     labelled = _lanczos_trace(_build_potential(cfg), cfg["lambda"], cfg["m"], output)
-    _print_header(cfg, stream)
+    _report(cfg, stream)
     if output is not None:
         stream.write(f"wrote iteration trace to {output}\n")
     stream.write("index value delta label\n")
@@ -253,14 +251,11 @@ def _cmd_oracle(cfg: dict, stream: IO[str]) -> None:
     lam = cfg["lambda"]
     parity = cfg["parity"]
     if cfg["method"] == "analytic":
-        index = 0 if parity == "even" else 1
-        epsilon = analytic_level(spec, lam, index)
+        epsilon = analytic_level(spec, lam, PARITIES.index(parity))
     else:
         shoot = ShootingConfig(lam=lam, parity=parity, half_width=cfg["half_width"])
         epsilon = shooting_eigenvalue(shoot, spec)
-    _print_header(cfg, stream)
-    stream.write(f"epsilon={epsilon:.17g}\n")
-    stream.write(f"energy={-epsilon:.17g}\n")
+    _report(cfg, stream, {"epsilon": epsilon, "energy": -epsilon})
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +336,8 @@ def run_reproduce_paper(
     eps_waxman = wx.invert_curve(wx.curve_from_results(full_points, "full"), 1.0)
 
     # Independent shooting value, compared against the inverted curve.
-    eps_shoot = shooting_eigenvalue(ShootingConfig(lam=1.0, parity="even"), gaussian)
+    shoot = ShootingConfig(lam=1.0, parity="even", half_width=half_width)
+    eps_shoot = shooting_eigenvalue(shoot, gaussian)
 
     # Odd sector: the curve must stay above unit coupling, so inversion at
     # lambda = 1 reports no solution.

@@ -185,7 +185,7 @@ def tridiagonal_eigen(
 
 @dataclass
 class RitzPair:
-    """Ritz value with its spuriousness score and the iteration that made it.
+    """Ritz value with its spuriousness score.
 
     The Ritz vector is formed only to score it with the delta gauge and is
     not kept: the classification and the trace read the value and delta.
@@ -193,7 +193,6 @@ class RitzPair:
 
     value: float
     delta: float
-    iteration: int
 
 
 def delta_check(H: Hamiltonian, state: SampledFunction, value: float) -> float:
@@ -226,7 +225,7 @@ def _score_prefixes(
             _apply_values(H, psi[:b], hpsi[:b], hhpsi[:b])
             _apply_values(H, hpsi[:b], hhpsi[:b], hpsi[:b])
             pairs += [
-                RitzPair(value, abs(value * value - _dot(grid, row, hhrow)), k)
+                RitzPair(value, abs(value * value - _dot(grid, row, hhrow)))
                 for (value, _), row, hhrow in zip(chunk, psi, hhpsi)
             ]
         history.append(pairs)

@@ -106,10 +106,3 @@ def potential_pieces(
             (spec.a, half_width, np.zeros_like),
         ]
     return [(0.0, half_width, lambda x: _shape(spec, x))]
-
-
-def peak_value(spec: PotentialSpec) -> float:
-    """Maximum of V; used to bracket admissible binding energies."""
-    if spec.kind == "table":
-        return float(max(spec.values))
-    return 1.0

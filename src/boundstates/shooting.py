@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NoBoundStateError, SolverError
 from .grid import check_positive, find_root
-from .potentials import PotentialSpec, peak_value, potential_pieces
+from .potentials import PotentialSpec, potential_pieces
 
 PARITIES = ("even", "odd")
 # The Illinois xtol on the binding energy.
@@ -182,7 +182,7 @@ def shooting_eigenvalue(cfg: ShootingConfig, potential: PotentialSpec) -> float:
     boxes and deep wells cannot overflow.
     """
     samples = _sample(cfg, potential)
-    lo, hi = 1e-4, cfg.lam * peak_value(potential)
+    lo, hi = 1e-4, cfg.lam * float(samples[1].max())
     # No level binds deeper than lam * max V, so an empty bracket holds none.
     levels = _node_count(cfg, samples, lo) if lo < hi else 0
     if levels < 1:

@@ -33,6 +33,11 @@ _GRID_MISMATCH = "potential and state must share a grid"
 _FIT_POINTS = 4
 
 
+def _check_sector(sector: str) -> None:
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
+
+
 @dataclass(frozen=True)
 class GreensKernel:
     """Decaying kernel of (-d^2/dx^2 + epsilon), optionally parity-restricted.
@@ -47,8 +52,7 @@ class GreensKernel:
 
     def __post_init__(self):
         check_positive("epsilon", self.epsilon)
-        if self.sector not in SECTORS:
-            raise ValueError(f"sector must be one of {SECTORS}, got {self.sector!r}")
+        _check_sector(self.sector)
 
 
 def kernel_value(kernel: GreensKernel, x, x_prime):
@@ -324,8 +328,7 @@ class LambdaEpsilonCurve:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.shape != eps.shape or not np.all(np.isfinite(lam) & (lam > 0)):
             raise ValueError("curve needs one positive, finite lambda per epsilon")
-        if self.sector not in SECTORS:
-            raise ValueError(f"sector must be one of {SECTORS}")
+        _check_sector(self.sector)
         self.epsilons = eps
         self.lambdas = lam
 

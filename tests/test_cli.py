@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boundstates
@@ -16,6 +17,7 @@ from boundstates import ConfigError
 from boundstates.cli import (
     _KEYS,
     _float_list,
+    _render,
     main,
     parse_config,
     run_reproduce_paper,
@@ -69,6 +71,24 @@ class TestParseConfig:
             "potential=gaussian\nsolver=waxman\nepsilons=0.1,0.2,0.3\n"
         )
         assert cfg.get("epsilons") == (0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "true"),
+        (False, "false"),
+        (2401, "2401"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(1.0), "1"),
+        ((0.1, 2.0), "0.10000000000000001,2"),
+        ("odd", "odd"),
+    ],
+)
+def test_render_states_each_value_one_way(value, text):
+    # One rule for header and result values: a bool before the int it is,
+    # every float (numpy's too) to 17 significant digits.
+    assert _render(value) == text
 
 
 class TestSubcommands:
@@ -383,6 +403,31 @@ class TestExitCodes:
         assert "overflow" in capsys.readouterr().err
         assert len(recwarn) == 0
 
+    def test_sweep_with_a_failed_point_exits_0(self, capsys, tmp_path):
+        # eps = 200 overflows the kernel weights on this box, so its row is a
+        # failure record; one converged point is enough for the sweep.
+        out_csv = tmp_path / "sweep.csv"
+        argv = ["--potential", "gaussian", "--half-width", "60", "--n-points", "1201",
+                "--epsilons", "100,200", "--output", str(out_csv)]
+        assert main(["sweep", *argv]) == 0
+        assert capsys.readouterr().out.endswith("converged 1 of 2\n")
+        assert out_csv.read_text().splitlines()[2] == "200,nan,0,nan,false"
+
+    def test_unreadable_config_file_is_1(self, capsys, tmp_path):
+        argv = ["--config", str(tmp_path / "missing.cfg"), "--potential", "gaussian"]
+        assert main(["solve-waxman", *argv, "--epsilon", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read config file: ")
+
+    def test_config_line_without_equals_is_1(self, capsys, tmp_path):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("potential gaussian\n")
+        assert main(["solve-waxman", "--config", str(cfgfile), "--epsilon", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: expected key=value, got 'potential gaussian'\n"
+        )
+
     def test_kernel_overflow_below_the_guard_is_2(self):
         # sqrt(3495) * 12 = 709.4 passes the weight guard, but the trapezoid
         # pair sums overflow: a typed error and no warning, even under -W error.
@@ -564,7 +609,6 @@ PUBLIC_NAMES = {
     "PotentialSpec",
     "sample_potential",
     "potential_pieces",
-    "peak_value",
     "GreensKernel",
     "WaxmanConfig",
     "LambdaEpsilonCurve",

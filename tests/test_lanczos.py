@@ -293,7 +293,6 @@ class TestRitzPairs:
             assert p.value == value
             assert p.delta == delta_check(H, SampledFunction(g, psi), p.value)
             assert p.delta >= 0.0
-            assert p.iteration == run.m
 
     def test_exact_start_single_pair(self):
         g, H = _coarse_setup()
@@ -453,10 +452,7 @@ class TestClassifyPairs:
             [(0.0, 0.6), (0.1, 0.01)],
             [(0.05, 0.6), (0.05, 0.01), (0.05, 0.6)],
         ]
-        history = [
-            [RitzPair(value, delta, k) for value, delta in row]
-            for k, row in enumerate(rows, 1)
-        ]
+        history = [[RitzPair(value, delta) for value, delta in row] for row in rows]
         assert [lab for _, lab in classify_pairs(history)] == ["undecided"] * 3
 
     def test_bisected_matching_equals_brute_force(self, rng):
@@ -466,7 +462,7 @@ class TestClassifyPairs:
         at_gate = 0
         for _ in range(500):
             history = []
-            for k in range(1, int(rng.integers(2, 9))):
+            for _ in range(1, int(rng.integers(2, 9))):
                 size = int(rng.integers(1, 8))
                 values = (
                     rng.choice([0.0, 0.3, 2.0, 100.0])
@@ -475,7 +471,7 @@ class TestClassifyPairs:
                 )
                 deltas = rng.choice([1e-3, 0.01, 0.04, 0.3, 0.6, 0.9], size)
                 history.append(
-                    [RitzPair(float(v), float(d), k) for v, d in zip(values, deltas)]
+                    [RitzPair(float(v), float(d)) for v, d in zip(values, deltas)]
                 )
             for prev, row in zip(history, history[1:]):
                 at_gate += sum(

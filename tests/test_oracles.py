@@ -53,6 +53,11 @@ DEEP_SQUARE_WELLS = [
     (6.0, 400.0, "odd"),
 ]
 
+# sech^2 couplings whose odd-level bisection meets a count of 0: N(1e-4) = 2
+# and N(lam / 2) = 0, so the top of the bracket comes down.  Shooting then
+# matches the closed form to 3.5e-11, 4.7e-11 and 8.2e-11.
+SECH2_ODD_EMPTY_MIDPOINT = (13.0, 15.0, 19.5)
+
 
 class TestShootMismatch:
     def test_vanishes_at_known_level(self):
@@ -174,6 +179,24 @@ class TestShootingEigenvalue:
             analytic_level(spec, 1e5, 0), rel=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PotentialSpec.gaussian(),
+            PotentialSpec.poschl_teller(),
+            PotentialSpec.square_well(1.0),
+            PotentialSpec.square_well(20.0),  # wider than the box
+        ],
+        ids=lambda spec: f"{spec.kind}-{spec.a}",
+    )
+    def test_samples_peak_at_one_at_the_origin(self, spec):
+        # The bracket's top, lam * max V, comes from the samples; every kind
+        # peaks at exactly 1 at x = 0, which the samples include.
+        cfg = ShootingConfig(lam=3.0, parity="even")
+        _, v = shooting._sample(cfg, spec)
+        assert v[0, 0] == 1.0
+        assert float(v.max()) == 1.0
+
     def test_bare_callable_potential_rejected(self):
         cfg = ShootingConfig(lam=2.0, parity="even")
         with pytest.raises(TypeError):
@@ -235,13 +258,30 @@ class TestSelfConsistency:
                 (PotentialSpec.square_well(a), lam, parity, PARITIES.index(parity))
                 for a, lam, parity in DEEP_SQUARE_WELLS
             ),
+            *(
+                (PotentialSpec.poschl_teller(), lam, "odd", 1)
+                for lam in SECH2_ODD_EMPTY_MIDPOINT
+            ),
         ],
     )
-    def test_agreement(self, spec, lam, parity, index):
+    def test_agreement(self, spec, lam, parity, index, monkeypatch):
+        counts = []
+        node_count = shooting._node_count
+
+        def recorded(*args):
+            counts.append(node_count(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(shooting, "_node_count", recorded)
+        empty_midpoint = (
+            spec.kind == "poschl_teller" and lam in SECH2_ODD_EMPTY_MIDPOINT
+        )
         cfg = ShootingConfig(lam=lam, parity=parity)
         assert shooting_eigenvalue(cfg, spec) == pytest.approx(
-            analytic_level(spec, lam, index), abs=1e-6
+            analytic_level(spec, lam, index), abs=1e-10 if empty_midpoint else 1e-6
         )
+        # Only those bisections run the count-zero branch (hi = mid).
+        assert (0 in counts) == empty_midpoint
 
 
 def _levels_deeper_than(spec, lam, parity, eps):

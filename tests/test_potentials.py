@@ -8,7 +8,6 @@ import pytest
 from boundstates import (
     PotentialSpec,
     make_grid,
-    peak_value,
     potential_pieces,
     sample_potential,
 )
@@ -101,7 +100,3 @@ class TestPieces:
     def test_smooth_potentials_are_one_piece(self):
         pieces = potential_pieces(PotentialSpec.gaussian(), 12.0)
         assert len(pieces) == 1
-
-    def test_peak_values(self):
-        assert peak_value(PotentialSpec.gaussian()) == 1.0
-        assert peak_value(PotentialSpec.table([0.2, 0.7, 0.2])) == 0.7

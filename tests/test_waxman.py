@@ -323,6 +323,20 @@ class TestInvertCurve:
         with pytest.raises(ValueError):
             LambdaEpsilonCurve(np.array([0.2, 0.4]), np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LambdaEpsilonCurve([0.2, 0.4], [1.0, 2.0], "even"),
+            lambda: GreensKernel(0.5, "even"),
+        ],
+        ids=["curve", "kernel"],
+    )
+    def test_bad_sector_has_one_message(self, make):
+        # The curve and the kernel state the sector rule once, in one message.
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == "sector must be one of ('full', 'odd'), got 'even'"
+
 
 def _scipy_inverse(x, y, target):
     """Inversion by scipy's PchipInterpolator and brentq on the first
