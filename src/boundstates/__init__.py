@@ -13,7 +13,7 @@ from .errors import (
     NoBoundStateError,
     SolverError,
 )
-from .grid import Grid, SampledFunction, inner_product, integrate, make_grid
+from .grid import Grid, SampledFunction, make_grid
 from .lanczos import (
     Hamiltonian,
     RitzPair,
@@ -22,7 +22,6 @@ from .lanczos import (
     hamiltonian_apply,
     lanczos_run,
     ritz_history,
-    ritz_pairs,
     start_vector,
     tridiagonal_eigen,
     write_trace_csv,
@@ -47,8 +46,6 @@ from .waxman import (
     curve_from_results,
     default_x_ref,
     invert_curve,
-    kernel_value,
-    lambda_from,
     sweep_epsilon,
     sweep_results,
     threshold_lambda,
@@ -67,17 +64,13 @@ __all__ = [
     "Grid",
     "SampledFunction",
     "make_grid",
-    "integrate",
-    "inner_product",
     "PotentialSpec",
     "sample_potential",
     "potential_pieces",
     "GreensKernel",
     "WaxmanConfig",
     "LambdaEpsilonCurve",
-    "kernel_value",
     "apply_kernel",
-    "lambda_from",
     "waxman_step",
     "waxman_fixed_point",
     "default_x_ref",
@@ -94,7 +87,6 @@ __all__ = [
     "start_vector",
     "lanczos_run",
     "tridiagonal_eigen",
-    "ritz_pairs",
     "ritz_history",
     "delta_check",
     "classify_pairs",

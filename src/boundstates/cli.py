@@ -209,6 +209,9 @@ def _cmd_sweep(cfg: dict, stream: IO[str]) -> None:
     )
     _write_csv(output, wx.write_sweep_csv, points)
     _report(cfg, stream)
+    for p in points:
+        if p.error is not None:
+            sys.stderr.write(f"warning: sweep point epsilon={p.epsilon:g}: {p.error}\n")
     n_ok = sum(p.converged for p in points)
     stream.write(f"wrote {len(points)} sweep points to {output}\n")
     stream.write(f"converged {n_ok} of {len(points)}\n")
@@ -315,7 +318,9 @@ def run_reproduce_paper(
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     gaussian = PotentialSpec.gaussian()
-    half_width, n_points, lz_m, lz_lambda = 12.0, 2401, 18, 1.0
+    half_width, n_points, lz_m, lz_lambda = (
+        _BY_NAME[name].default for name in ("half_width", "n_points", "m", "lambda")
+    )
     V = sample_potential(gaussian, make_grid(half_width, n_points))
 
     # Each number here is one the run uses; tol is the solves' default.

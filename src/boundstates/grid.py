@@ -1,4 +1,4 @@
-"""Uniform symmetric grids, sampled functions, trapezoid quadrature, root finding."""
+"""Uniform symmetric grids, sampled functions, root finding."""
 
 from __future__ import annotations
 
@@ -39,12 +39,6 @@ class Grid:
         ):
             raise ValueError(f"x={x!r} is not a node of this grid")
         return i
-
-    def weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights for this grid."""
-        w = np.full(self.n_points, self.spacing)
-        w[0] = w[-1] = 0.5 * self.spacing
-        return w
 
 
 def check_same_grid(grid: Grid, other: Grid, message: str) -> Grid:
@@ -100,25 +94,6 @@ class SampledFunction:
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled values must be finite")
         self.values = values
-
-    @classmethod
-    def from_callable(
-        cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]
-    ) -> "SampledFunction":
-        return cls(grid, np.asarray(fn(grid.points), dtype=float))
-
-
-def integrate(f: SampledFunction) -> float:
-    """Trapezoid-rule integral of ``f`` over its grid; exact for affine data."""
-    v = f.values
-    return float(f.grid.spacing * (v.sum() - 0.5 * (v[0] + v[-1])))
-
-
-def inner_product(f: SampledFunction, g: SampledFunction) -> float:
-    """Trapezoid approximation of the L2 pairing of ``f`` and ``g``."""
-    check_same_grid(f.grid, g.grid, "inner_product requires both functions on one grid")
-    p = f.values * g.values
-    return float(f.grid.spacing * (p.sum() - 0.5 * (p[0] + p[-1])))
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:

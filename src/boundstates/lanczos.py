@@ -201,9 +201,14 @@ def delta_check(H: Hamiltonian, state: SampledFunction, value: float) -> float:
     return abs(value * value - _dot(H.grid, state.values, hhpsi.values))
 
 
-def _score_prefixes(
-    run: LanczosRun, H: Hamiltonian, lengths: Sequence[int]
-) -> list[list[RitzPair]]:
+def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
+    """Scored Ritz values after each iteration 1..m of an existing run.
+
+    Truncating the recursion reproduces exactly what a shorter run would
+    have computed, so the history can be sliced out of one full run.  It
+    holds values and deltas only, so its size does not grow with the grid;
+    the Ritz vectors pass through one block of ``_BLOCK_ROWS`` rows.
+    """
     # One basis stack and one block each of psi, H psi and H^2 psi serve
     # every prefix scored.
     grid = H.grid
@@ -211,7 +216,7 @@ def _score_prefixes(
     rows = min(_BLOCK_ROWS, run.m)
     psi, hpsi, hhpsi = np.empty((3, rows, grid.n_points))
     history = []
-    for k in lengths:
+    for k in range(1, run.m + 1):
         eigen = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
         pairs = []
         for start in range(0, k, rows):
@@ -230,22 +235,6 @@ def _score_prefixes(
             ]
         history.append(pairs)
     return history
-
-
-def ritz_pairs(run: LanczosRun, H: Hamiltonian) -> list[RitzPair]:
-    """Ritz values of the run, each scored by the delta gauge; no vector is kept."""
-    return _score_prefixes(run, H, [run.m])[0]
-
-
-def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
-    """Scored Ritz values after each iteration 1..m of an existing run.
-
-    Truncating the recursion reproduces exactly what a shorter run would
-    have computed, so the history can be sliced out of one full run.  It
-    holds values and deltas only, so its size does not grow with the grid;
-    the Ritz vectors pass through one block of ``_BLOCK_ROWS`` rows.
-    """
-    return _score_prefixes(run, H, range(1, run.m + 1))
 
 
 def _label(deltas: Sequence[float]) -> str:

@@ -55,22 +55,6 @@ class GreensKernel:
         _check_sector(self.sector)
 
 
-def kernel_value(kernel: GreensKernel, x, x_prime):
-    """Pointwise kernel value; accepts scalars or broadcastable arrays."""
-    s = math.sqrt(kernel.epsilon)
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(x_prime, dtype=float)
-
-    def g(d):
-        return np.exp(-s * np.abs(d)) / (2.0 * s)
-
-    if kernel.sector == "full":
-        out = g(x - xp)
-    else:
-        out = g(x - xp) - g(x + xp)
-    return float(out) if out.ndim == 0 else out
-
-
 class _KernelScan:
     """O(n) applier of the kernel quadrature on a fixed grid.
 
@@ -186,18 +170,6 @@ def _ref_index(grid: Grid, x_ref: float, sector: str) -> int:
     return idx
 
 
-def _kernel_step(
-    kernel: GreensKernel, V: SampledFunction, u: SampledFunction, x_ref: float
-) -> tuple[np.ndarray, float]:
-    """Kernel image of V*u divided by its value at x_ref, and that divisor."""
-    grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
-    idx = _ref_index(grid, x_ref, kernel.sector)
-    with _scan(grid, kernel.epsilon, kernel.sector) as scan:
-        w = np.multiply(V.values, u.values)
-        denom = scan.step(w[scan.start :], idx, w[scan.start :])
-        return scan.mirror(w), denom
-
-
 def apply_kernel(
     kernel: GreensKernel, V: SampledFunction, u: SampledFunction
 ) -> SampledFunction:
@@ -209,23 +181,16 @@ def apply_kernel(
         return SampledFunction(grid, scan.mirror(w))
 
 
-def lambda_from(
-    kernel: GreensKernel, V: SampledFunction, u: SampledFunction, x_ref: float
-) -> float:
-    """Coupling strength read off a state normalized to u(x_ref) = 1.
-
-    Returns the reciprocal of the kernel integral evaluated at the reference
-    node; raises NoBoundStateError where that integral vanishes (no
-    admissible coupling at this energy).
-    """
-    return 1.0 / _kernel_step(kernel, V, u, x_ref)[1]
-
-
 def waxman_step(
     kernel: GreensKernel, V: SampledFunction, u_n: SampledFunction, x_ref: float
 ) -> SampledFunction:
     """One normalized iteration of the integral map; output is 1 at x_ref."""
-    return SampledFunction(u_n.grid, _kernel_step(kernel, V, u_n, x_ref)[0])
+    grid = check_same_grid(V.grid, u_n.grid, _GRID_MISMATCH)
+    idx = _ref_index(grid, x_ref, kernel.sector)
+    with _scan(grid, kernel.epsilon, kernel.sector) as scan:
+        w = np.multiply(V.values, u_n.values)
+        scan.step(w[scan.start :], idx, w[scan.start :])
+        return SampledFunction(grid, scan.mirror(w))
 
 
 @dataclass

@@ -238,7 +238,7 @@ def test_criterion_09_property_suites(gaussian_setup, lanczos_comparison, rng):
 
     # normalized-step invariants
     k = GreensKernel(0.5)
-    u0 = SampledFunction.from_callable(grid, lambda xx: np.exp(-xx * xx / 3.0))
+    u0 = SampledFunction(grid, np.exp(-grid.points**2 / 3.0))
     stepped = waxman_step(k, V, u0, 0.0)
     assert stepped.values[grid.mid_index] == 1.0
     rescaled = waxman_step(k, V, SampledFunction(grid, 3.7 * u0.values), 0.0)

@@ -410,8 +410,13 @@ class TestExitCodes:
         argv = ["--potential", "gaussian", "--half-width", "60", "--n-points", "1201",
                 "--epsilons", "100,200", "--output", str(out_csv)]
         assert main(["sweep", *argv]) == 0
-        assert capsys.readouterr().out.endswith("converged 1 of 2\n")
+        captured = capsys.readouterr()
+        assert captured.out.endswith("converged 1 of 2\n")
         assert out_csv.read_text().splitlines()[2] == "200,nan,0,nan,false"
+        # The failed point names itself and its error on stderr, one line.
+        [warning] = captured.err.splitlines()
+        assert warning.startswith("warning: sweep point epsilon=200: ")
+        assert "overflow" in warning
 
     def test_unreadable_config_file_is_1(self, capsys, tmp_path):
         argv = ["--config", str(tmp_path / "missing.cfg"), "--potential", "gaussian"]
@@ -604,17 +609,13 @@ PUBLIC_NAMES = {
     "Grid",
     "SampledFunction",
     "make_grid",
-    "integrate",
-    "inner_product",
     "PotentialSpec",
     "sample_potential",
     "potential_pieces",
     "GreensKernel",
     "WaxmanConfig",
     "LambdaEpsilonCurve",
-    "kernel_value",
     "apply_kernel",
-    "lambda_from",
     "waxman_step",
     "waxman_fixed_point",
     "default_x_ref",
@@ -631,7 +632,6 @@ PUBLIC_NAMES = {
     "start_vector",
     "lanczos_run",
     "tridiagonal_eigen",
-    "ritz_pairs",
     "ritz_history",
     "delta_check",
     "classify_pairs",

@@ -1,22 +1,12 @@
-"""Grid construction, quadrature, and inner-product behavior."""
+"""Grid construction, sampled functions, and root finding."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from boundstates import (
-    GridMismatchError,
-    SampledFunction,
-    inner_product,
-    integrate,
-    make_grid,
-)
+from boundstates import SampledFunction, make_grid
 from boundstates.grid import find_root
-
-SQRT_2PI = 2.5066282746310005  # closed form of the Gaussian integral
 
 
 class TestMakeGrid:
@@ -71,82 +61,6 @@ class TestSampledFunction:
         g = make_grid(1.0, 3)
         with pytest.raises(ValueError):
             SampledFunction(g, [0.0, np.nan, 0.0])
-
-    def test_from_callable(self):
-        g = make_grid(2.0, 5)
-        f = SampledFunction.from_callable(g, lambda x: x**2)
-        np.testing.assert_allclose(f.values, g.points**2)
-
-
-class TestIntegrate:
-    def test_constant(self):
-        g = make_grid(5.0, 201)
-        assert integrate(SampledFunction(g, np.ones(201))) == pytest.approx(10.0)
-
-    def test_odd_integrand_vanishes(self):
-        g = make_grid(7.0, 401)
-        f = SampledFunction(g, g.points.copy())
-        assert abs(integrate(f)) <= 1e-12
-
-    def test_gaussian_against_closed_form(self, fine_grid):
-        f = SampledFunction.from_callable(fine_grid, lambda x: np.exp(-0.5 * x * x))
-        assert integrate(f) == pytest.approx(SQRT_2PI, abs=1e-8)
-
-    def test_refinement_reduces_error_fourfold(self):
-        # cos has nonzero boundary derivatives, so the h^2 term is visible
-        exact = 2.0 * math.sin(5.0)
-        errs = []
-        for n in (101, 201):
-            g = make_grid(5.0, n)
-            f = SampledFunction.from_callable(g, np.cos)
-            errs.append(abs(integrate(f) - exact))
-        assert 3.0 < errs[0] / errs[1] < 5.0
-
-
-class TestInnerProduct:
-    def test_constant_pair(self):
-        g = make_grid(5.0, 201)
-        one = SampledFunction(g, np.ones(201))
-        assert inner_product(one, one) == pytest.approx(10.0)
-
-    def test_normalized_gaussian(self, fine_grid):
-        phi = SampledFunction.from_callable(
-            fine_grid, lambda x: (2.0 / np.pi) ** 0.25 * np.exp(-x * x)
-        )
-        assert inner_product(phi, phi) == pytest.approx(1.0, abs=1e-8)
-
-    def test_symmetry_exact(self, fine_grid, rng):
-        f = SampledFunction(fine_grid, rng.normal(size=fine_grid.n_points))
-        g = SampledFunction(fine_grid, rng.normal(size=fine_grid.n_points))
-        assert inner_product(f, g) == inner_product(g, f)
-
-    def test_positive_semidefinite(self, rng):
-        g = make_grid(3.0, 51)
-        for _ in range(20):
-            f = SampledFunction(g, rng.normal(size=51))
-            assert inner_product(f, f) >= 0.0
-
-    def test_grid_mismatch_rejected(self):
-        f = SampledFunction(make_grid(1.0, 3), np.ones(3))
-        g = SampledFunction(make_grid(2.0, 3), np.ones(3))
-        with pytest.raises(GridMismatchError):
-            inner_product(f, g)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    a=st.floats(-10, 10, allow_nan=False),
-    b=st.floats(-10, 10, allow_nan=False),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_trapezoid_linearity(a, b, seed):
-    g = make_grid(4.0, 81)
-    r = np.random.default_rng(seed)
-    fv = r.normal(size=81)
-    gv = r.normal(size=81)
-    lhs = integrate(SampledFunction(g, a * fv + b * gv))
-    rhs = a * integrate(SampledFunction(g, fv)) + b * integrate(SampledFunction(g, gv))
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestFindRoot:

@@ -1,11 +1,13 @@
-"""The solver routes stay independent: the module import graph, read from source.
+"""The package's shape, read from source: the import graph and the public API.
 
 The shooting oracle checks the other two routes, so it must reach neither;
 the Lanczos route must not reach the fixed point or the oracle it is
-compared against.  ``waxman`` may use ``lanczos``'s grid Hamiltonian.
+compared against.  ``waxman`` may use ``lanczos``'s grid Hamiltonian.  Every
+public name has a reader besides its own definition and the export.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import boundstates
 
 PACKAGE = Path(boundstates.__file__).parent
+ROOT = PACKAGE.resolve().parents[1]
 
 
 def _imports(path: Path) -> set[str]:
@@ -68,3 +71,35 @@ def test_route_reaches_no_other_route(module, forbidden):
 def test_no_import_cycle():
     cyclic = sorted(m for m in GRAPH if m in _reach(m))
     assert cyclic == []
+
+
+def _package_reads(path: Path) -> set[str]:
+    """Names and attributes a module reads outside the definition they name."""
+    reads = set()
+    for top in ast.parse(path.read_text()).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                reads.add(name)
+    return reads
+
+
+def _benchmark_reads(path: Path) -> set[str]:
+    """Attributes read off the package or its modules as the benchmarks import them."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in {"wx", "lz", "sh", "boundstates"}
+    }
+
+
+def test_every_public_name_has_a_reader():
+    read = set().union(
+        *(_package_reads(p) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+        *(_benchmark_reads(p) for p in (ROOT / "benchmarks").glob("*.py")),
+        re.findall(r"\w+", (ROOT / "README.md").read_text()),
+    )
+    assert sorted(set(boundstates.__all__) - read) == []
