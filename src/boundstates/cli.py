@@ -103,6 +103,7 @@ def _parse_value(key: _Key, raw: str, line_no: int):
 
 
 def _parse_values(text: str) -> dict:
+    """Flat key=value lines ('#' starts a comment), rejected with their line number."""
     values = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -118,15 +119,6 @@ def _parse_values(text: str) -> dict:
             raise ConfigError(f"line {line_no}: duplicate key '{name}'")
         values[name] = _parse_value(_BY_NAME[name], raw.strip(), line_no)
     return values
-
-
-def parse_config(text: str) -> dict:
-    """Parse flat key=value lines ('#' starts a comment) into a resolved config.
-
-    Unknown keys and malformed values are rejected with the offending line
-    number, then missing required keys.  The result holds every key.
-    """
-    return _resolve(_parse_values(text), {})
 
 
 def _render(value) -> str:
@@ -279,6 +271,7 @@ DELTA_RATIO_MIN = 10.0
 FULL_SWEEP_EPSILONS = tuple(np.linspace(0.1, 1.0, 37))
 ODD_SWEEP_EPSILONS = (1e-4, 1e-3, 1e-2) + tuple(np.linspace(0.05, 1.0, 20))
 THRESHOLD_TAIL = tuple(0.01 * 0.5**k for k in range(10))
+# Read only by the traced residual-stage replay in benchmarks/bench_ops.py.
 RESIDUAL_SWEEP_EPSILONS = tuple(np.linspace(0.1, 1.0, 20))
 
 # The Krylov comparison runs on a coarser mesh than the quadrature solvers:
@@ -359,12 +352,11 @@ def run_reproduce_paper(
     # Excited-state threshold coupling by square-root extrapolation.
     lam_star = wx.threshold_lambda(V, "odd", THRESHOLD_TAIL)
 
-    # Every converged sweep point must satisfy the grid eigenvalue equation.
+    # Every converged full-sweep state must satisfy the grid eigenvalue equation.
     residual_bound = 10.0 * V.grid.spacing**2
     max_residual = max(
         wx.bound_state_residual(p.result.u, V, p.result.lam, p.result.epsilon)
-        for p in wx.sweep_results(RESIDUAL_SWEEP_EPSILONS, V, sector="full")
-        if p.converged
+        for p in full_points if p.converged
     )
 
     # Lanczos: Ritz trace and spuriousness classification.

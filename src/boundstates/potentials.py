@@ -67,10 +67,12 @@ class PotentialSpec:
 
 def _shape(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     """V at the points ``x`` for every kind but ``table``, which has no formula."""
-    if spec.kind == "gaussian":
-        return np.exp(-0.5 * x * x)
-    if spec.kind == "poschl_teller":
-        return 1.0 / np.cosh(x) ** 2
+    # Far out in a wide box x * x or cosh(x) ** 2 overflows to inf, where V is 0.
+    with np.errstate(over="ignore"):
+        if spec.kind == "gaussian":
+            return np.exp(-0.5 * x * x)
+        if spec.kind == "poschl_teller":
+            return 1.0 / np.cosh(x) ** 2
     # Square well, a closed interval: the tiny slack keeps a node that lands
     # exactly on the edge inside the well regardless of rounding in the mesh.
     return np.where(np.abs(x) <= spec.a + 1e-12 * max(1.0, spec.a), 1.0, 0.0)

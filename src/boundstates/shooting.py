@@ -26,6 +26,9 @@ from .potentials import PotentialSpec, potential_pieces
 PARITIES = ("even", "odd")
 # The Illinois xtol on the binding energy.
 _XTOL = 1e-10
+# A solve holds about 232 B per RK4 step, so this caps it near 243 MB
+# (half_width ~ 2097 at the default step).
+_MAX_STEPS = 2**20
 
 
 @dataclass
@@ -43,6 +46,12 @@ class ShootingConfig:
             raise ValueError(f"parity must be one of {PARITIES}, got {self.parity!r}")
         check_positive("half_width", self.half_width)
         check_positive("step", self.step)
+        steps = self.half_width / self.step
+        if steps > _MAX_STEPS:
+            raise ValueError(
+                f"half_width / step asks for {steps:.4g} RK4 steps; "
+                f"at most {_MAX_STEPS} are allowed"
+            )
 
 
 def _sample(

@@ -90,10 +90,8 @@ class _KernelScan:
         self._left, self._right = np.empty_like(x), np.empty_like(x)
         self._half_h, self._two_s = 0.5 * grid.spacing, 2.0 * self.s
 
-    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Kernel image of ``f`` in ``out`` (may be f), both on x >= 0 with a parity."""
-        if out is None:
-            out = np.empty_like(f)
         left, right = self._left, self._right
         # Trapezoid pair sums of grow*f (product in ``right``), summed below.
         np.multiply(self.grow, f, out=right)

@@ -13,64 +13,114 @@ import numpy as np
 import pytest
 
 import boundstates
-from boundstates import ConfigError
-from boundstates.cli import (
-    _KEYS,
-    _float_list,
-    _render,
-    main,
-    parse_config,
-    run_reproduce_paper,
-)
+from boundstates import waxman
+from boundstates.cli import _KEYS, _float_list, _render, main, run_reproduce_paper
 from _threshold import gaussian_odd_threshold
 
 
+def _run_config(command, text, tmp_path, capsys):
+    """Exit code, ``# key=value`` header and stderr of ``command --config``."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    code = main([command, "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    header = dict(
+        line[2:].split("=", 1)
+        for line in captured.out.splitlines()
+        if line.startswith("# ")
+    )
+    return code, header, captured.err
+
+
 class TestParseConfig:
-    def test_minimal_with_defaults(self):
-        cfg = parse_config("potential=gaussian\nsolver=waxman\nepsilon=0.479203\n")
-        assert cfg.get("potential") == "gaussian"
-        assert cfg.get("epsilon") == 0.479203
-        assert cfg.get("half_width") == 12.0
-        assert cfg.get("n_points") == 2401
-        assert cfg.get("tol") == 1e-10
-        assert cfg.get("sector") == "full"
+    """Config files, read on the public route ``main([command, "--config", path])``."""
 
-    def test_comments_and_blank_lines(self):
-        cfg = parse_config(
-            "# experiment\n\npotential=gaussian  # the shape\nsolver=oracle\n"
+    def test_minimal_with_defaults(self, capsys, tmp_path):
+        code, header, _ = _run_config(
+            "solve-waxman",
+            "potential=gaussian\nsolver=waxman\nepsilon=0.479203\n",
+            tmp_path,
+            capsys,
         )
-        assert cfg.get("potential") == "gaussian"
-        assert cfg.get("solver") == "oracle"
+        assert code == 0
+        assert header.get("potential") == "gaussian"
+        assert float(header.get("epsilon")) == 0.479203
+        assert float(header.get("half_width")) == 12.0
+        assert header.get("n_points") == "2401"
+        assert float(header.get("tol")) == 1e-10
+        assert header.get("sector") == "full"
 
-    def test_unknown_key_named_with_line(self):
-        with pytest.raises(ConfigError, match=r"line 2.*frequency"):
-            parse_config("potential=gaussian\nfrequency=3\nsolver=waxman\n")
+    def test_comments_and_blank_lines(self, capsys, tmp_path):
+        code, header, _ = _run_config(
+            "oracle",
+            "# experiment\n\npotential=gaussian  # the shape\nsolver=oracle\n",
+            tmp_path,
+            capsys,
+        )
+        assert code == 0
+        assert header.get("potential") == "gaussian"
+        assert header.get("solver") == "oracle"
 
-    def test_unknown_potential_named(self):
-        with pytest.raises(ConfigError, match="unknown_shape"):
-            parse_config("potential=unknown_shape\nsolver=waxman\n")
+    @staticmethod
+    def _error(command, text, tmp_path, capsys):
+        code, header, err = _run_config(command, text, tmp_path, capsys)
+        assert code == 1
+        assert header == {}
+        assert err.startswith("error: ")
+        return err
 
-    def test_malformed_value_has_line_number(self):
-        with pytest.raises(ConfigError, match=r"line 2.*epsilon"):
-            parse_config("potential=gaussian\nepsilon=abc\nsolver=waxman\n")
+    def test_unknown_key_named_with_line(self, capsys, tmp_path):
+        err = self._error(
+            "solve-waxman",
+            "potential=gaussian\nfrequency=3\nsolver=waxman\n",
+            tmp_path,
+            capsys,
+        )
+        assert re.search(r"line 2.*frequency", err)
 
-    def test_empty_file_lists_required_keys(self):
-        with pytest.raises(ConfigError, match="potential"):
-            parse_config("")
+    def test_unknown_potential_named(self, capsys, tmp_path):
+        err = self._error(
+            "solve-waxman", "potential=unknown_shape\nsolver=waxman\n", tmp_path, capsys
+        )
+        assert "unknown_shape" in err
 
-    def test_potential_parameter_is_required(self):
-        with pytest.raises(ConfigError, match="missing required keys: table_values"):
-            parse_config("potential=table\n")
+    def test_malformed_value_has_line_number(self, capsys, tmp_path):
+        err = self._error(
+            "solve-waxman",
+            "potential=gaussian\nepsilon=abc\nsolver=waxman\n",
+            tmp_path,
+            capsys,
+        )
+        assert re.search(r"line 2.*epsilon", err)
 
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match=r"line 3.*duplicate"):
-            parse_config("potential=gaussian\nsolver=waxman\nsolver=oracle\n")
+    def test_empty_file_lists_required_keys(self, capsys, tmp_path):
+        assert "potential" in self._error("solve-waxman", "", tmp_path, capsys)
 
-    def test_list_values(self):
-        cfg = parse_config(
+    def test_potential_parameter_is_required(self, capsys, tmp_path):
+        # oracle requires no key of its own, so only the table's is missing.
+        err = self._error("oracle", "potential=table\n", tmp_path, capsys)
+        assert "missing required keys: table_values" in err
+
+    def test_duplicate_key_rejected(self, capsys, tmp_path):
+        err = self._error(
+            "solve-waxman",
+            "potential=gaussian\nsolver=waxman\nsolver=oracle\n",
+            tmp_path,
+            capsys,
+        )
+        assert re.search(r"line 3.*duplicate", err)
+
+    def test_list_values(self, capsys, tmp_path):
+        code, header, _ = _run_config(
+            "sweep",
             "potential=gaussian\nsolver=waxman\nepsilons=0.1,0.2,0.3\n"
+            f"output={tmp_path / 'sweep.csv'}\n",
+            tmp_path,
+            capsys,
         )
-        assert cfg.get("epsilons") == (0.1, 0.2, 0.3)
+        assert code == 0
+        eps = tuple(float(v) for v in header.get("epsilons").split(","))
+        assert eps == (0.1, 0.2, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -403,6 +453,16 @@ class TestExitCodes:
         assert "overflow" in capsys.readouterr().err
         assert len(recwarn) == 0
 
+    def test_wide_box_potential_is_0_without_warning(self, capsys):
+        # cosh(x) ** 2 overflows past |x| ~ 355.5, where the sech^2 well is 0;
+        # pytest turns an overflow warning into an error, so this run fails
+        # unless the sampler keeps it quiet.
+        argv = ["--potential", "poschl_teller", "--half-width", "400"]
+        assert main(["solve-waxman", *argv, "--epsilon", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("converged=true\n")
+        assert captured.err == ""
+
     def test_sweep_with_a_failed_point_exits_0(self, capsys, tmp_path):
         # eps = 200 overflows the kernel weights on this box, so its row is a
         # failure record; one converged point is enough for the sweep.
@@ -689,3 +749,18 @@ def test_reproduce_paper_output_is_pinned(tmp_path):
         for name in REPRODUCE_PAPER_CSV_SHA256
     }
     assert digests == REPRODUCE_PAPER_CSV_SHA256
+
+
+def test_reproduce_paper_solves_each_energy_once(tmp_path, monkeypatch):
+    # 37 full-sweep, 23 odd-sweep and 10 threshold-tail energies: the
+    # residual row checks the full sweep's states instead of solving again.
+    epsilons = []
+    solve = waxman.waxman_fixed_point
+
+    def counted(cfg, V):
+        epsilons.append(cfg.epsilon)
+        return solve(cfg, V)
+
+    monkeypatch.setattr(waxman, "waxman_fixed_point", counted)
+    run_reproduce_paper(tmp_path, io.StringIO())
+    assert len(epsilons) == 70

@@ -218,7 +218,8 @@ class TestBufferedScan:
                 r = rng.normal(size=n_points)
                 f = V.values * (r + r[::-1] if even else r)
                 expected = _reference_apply(ref, f)
-                assert np.array_equal(scan.apply(f[start:]), expected[start:])
+                fresh = scan.apply(f[start:], out=np.empty(n_points - start))
+                assert np.array_equal(fresh, expected[start:])
                 out = np.full(n_points, np.nan)
                 half = out[start:]
                 assert scan.apply(f[start:], out=half) is half

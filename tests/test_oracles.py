@@ -151,6 +151,14 @@ class TestShootingEigenvalue:
         assert wide == pytest.approx(default, abs=1e-9)
         assert len(recwarn) == 0
 
+    def test_step_count_is_capped(self):
+        # 5e8 steps would hold about 116 GB of samples and propagators; the
+        # config refuses them before anything is allocated.
+        for half_width, step in ((1e6, 2e-3), (1e308, 1e-10), (2.0**20 + 1, 1.0)):
+            with pytest.raises(ValueError, match="RK4 steps"):
+                ShootingConfig(1.0, "even", half_width=half_width, step=step)
+        ShootingConfig(1.0, "even", half_width=2.0**20, step=1.0)
+
     def test_deep_wide_well_needs_no_overflow(self, recwarn):
         # lam=200 sech^2 on half_width=60: the outward solution grows by about
         # exp(sqrt(186) * 60) = exp(819), past the float range, so this level

@@ -34,6 +34,24 @@ class TestShapes:
         assert V.values[g.node_index(-1.0)] == 1.0
         assert V.values[g.node_index(1.01)] == 0.0
 
+    @pytest.mark.parametrize("half_width", [400.0, 1e155])
+    @pytest.mark.parametrize("kind", ["gaussian", "poschl_teller"])
+    def test_wide_box_samples_without_overflow(self, kind, half_width):
+        # cosh(x) ** 2 overflows past |x| ~ 355.5 and x * x past ~ 1.3e154:
+        # V is 0 there, with no warning (pytest makes it an error), and
+        # every sample whose formula stays finite keeps its bits.
+        g = make_grid(half_width, 8001)
+        x = g.points
+        V = sample_potential(PotentialSpec(kind), g).values
+        far = np.abs(x) > (355.5 if kind == "poschl_teller" else 1.3e154)
+        assert np.all(V[far] == 0.0)
+        near = x[~far]
+        if kind == "gaussian":
+            formula = np.exp(-0.5 * near * near)
+        else:
+            formula = 1.0 / np.cosh(near) ** 2
+        assert V[~far].tobytes() == formula.tobytes()
+
     def test_table_roundtrip(self):
         g = make_grid(1.0, 5)
         V = sample_potential(PotentialSpec.table([0.0, 1.0, 2.0, 1.0, 0.0]), g)
