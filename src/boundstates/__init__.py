@@ -44,7 +44,6 @@ from .waxman import (
     apply_kernel,
     bound_state_residual,
     curve_from_results,
-    default_x_ref,
     invert_curve,
     sweep_epsilon,
     sweep_results,
@@ -73,7 +72,6 @@ __all__ = [
     "apply_kernel",
     "waxman_step",
     "waxman_fixed_point",
-    "default_x_ref",
     "sweep_results",
     "sweep_epsilon",
     "curve_from_results",

@@ -60,7 +60,6 @@ _KEYS = (
     _Key("epsilons", _float_list, flag="--epsilons"),
     _Key("epsilon_tail", _float_list, flag="--epsilon-tail"),
     _Key("sector", str, wx.WaxmanConfig.sector, choices=wx.SECTORS, flag="--sector"),
-    _Key("x_ref", float, flag="--x-ref"),
     _Key("tol", float, wx.WaxmanConfig.tol, flag="--tol"),
     _Key("max_iter", int, wx.WaxmanConfig.max_iter, flag="--max-iter"),
     _Key("lambda", float, 1.0, flag="--lambda"),
@@ -154,7 +153,7 @@ def _build_potential(cfg: dict) -> SampledFunction:
 
 
 def _waxman_overrides(cfg: dict) -> dict:
-    return {name: cfg[name] for name in ("x_ref", "tol", "max_iter")}
+    return {name: cfg[name] for name in ("tol", "max_iter")}
 
 
 def _write_csv(path: str | Path, write: Callable, rows) -> None:
@@ -501,7 +500,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0 if run_reproduce_paper(args.output_dir, sys.stdout) else 2
         command = _COMMANDS[args.command]
         command.run(_merge_config(args, command), sys.stdout)
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:  # ConfigError and unwritable outputs included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:  # NoBoundStateError included

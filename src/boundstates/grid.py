@@ -16,7 +16,7 @@ class Grid:
     """Uniform mesh on [-half_width, +half_width] with an odd point count.
 
     The odd count guarantees a node exactly at x = 0, which serves both as
-    the default normalization point and as the axis for parity splitting.
+    the full sector's normalization point and as the axis for parity splitting.
     """
 
     half_width: float
@@ -28,17 +28,6 @@ class Grid:
     def mid_index(self) -> int:
         """Index of the node at x = 0."""
         return (self.n_points - 1) // 2
-
-    def node_index(self, x: float) -> int:
-        """Index of the node at coordinate ``x``; raises if x is off-grid."""
-        i = int(round((x + self.half_width) / self.spacing)) if math.isfinite(x) else -1
-        if (
-            i < 0
-            or i >= self.n_points
-            or abs(self.points[i] - x) > 1e-9 * max(1.0, self.half_width)
-        ):
-            raise ValueError(f"x={x!r} is not a node of this grid")
-        return i
 
 
 def check_same_grid(grid: Grid, other: Grid, message: str) -> Grid:
@@ -59,12 +48,13 @@ def check_positive(name: str, value: float) -> None:
 def make_grid(half_width: float, n_points: int) -> Grid:
     """Build a symmetric uniform grid with ``n_points`` nodes on [-L, L].
 
-    ``n_points`` must be odd so that x = 0 is a node.
+    ``n_points`` must be an odd integer so that x = 0 is a node.
     """
     check_positive("half_width", half_width)
+    integer = isinstance(n_points, (int, np.integer)) and not isinstance(n_points, bool)
+    if not integer or n_points < 3 or n_points % 2 == 0:
+        raise ValueError(f"n_points must be an odd integer >= 3, got {n_points!r}")
     n_points = int(n_points)
-    if n_points < 3 or n_points % 2 == 0:
-        raise ValueError(f"n_points must be an odd integer >= 3, got {n_points}")
     spacing = 2.0 * half_width / (n_points - 1)
     mid = (n_points - 1) // 2
     # (k - mid) * spacing keeps the mesh exactly antisymmetric in floating point.

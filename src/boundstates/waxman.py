@@ -129,14 +129,13 @@ class _KernelScan:
         along the sector's dominant mode.  Only ``out`` is written.
         """
         self.apply(f, out=out)
-        k = idx - self.start
-        denom = out[k] if k >= 0 else self.parity * out[-k]
+        denom = out[idx - self.start]
         scale = max(np.maximum.reduce(out), -np.minimum.reduce(out), 1.0)
         if abs(denom) < _DENOMINATOR_FLOOR * scale:
             raise NoBoundStateError(
                 f"no admissible coupling at epsilon={self.epsilon:g} "
-                f"({self.sector} sector): kernel integral {denom:.3e} at "
-                f"x_ref={self.grid.points[idx]:g}"
+                f"({self.sector} sector): kernel integral {denom:.3e} at the "
+                f"reference node x={self.grid.points[idx]:g}"
             )
         out /= denom
         return denom
@@ -160,11 +159,14 @@ def _scan(grid: Grid, epsilon: float, sector: str, even=False) -> Iterator[_Kern
         ) from exc
 
 
-def _ref_index(grid: Grid, x_ref: float, sector: str) -> int:
-    """Grid index of ``x_ref``; the odd sector's states vanish at the origin."""
-    idx = grid.node_index(x_ref)
-    if sector == "odd" and idx == grid.mid_index:
-        raise ValueError("odd sector requires x_ref != 0 (the state vanishes there)")
+def _ref_index(grid: Grid, sector: str) -> int:
+    """Node where iterates are 1: x = 0, or (odd sector) the one nearest min(1, L/2)."""
+    if sector == "full":
+        return grid.mid_index
+    steps = max(1, round(min(1.0, 0.5 * grid.half_width) / grid.spacing))
+    idx = min(grid.mid_index + steps, grid.n_points - 2)
+    if idx == grid.mid_index:
+        raise ValueError("odd sector needs n_points >= 5: its states vanish at x = 0")
     return idx
 
 
@@ -180,11 +182,11 @@ def apply_kernel(
 
 
 def waxman_step(
-    kernel: GreensKernel, V: SampledFunction, u_n: SampledFunction, x_ref: float
+    kernel: GreensKernel, V: SampledFunction, u_n: SampledFunction
 ) -> SampledFunction:
-    """One normalized iteration of the integral map; output is 1 at x_ref."""
+    """One normalized iteration of the integral map, 1 at the solve's reference node."""
     grid = check_same_grid(V.grid, u_n.grid, _GRID_MISMATCH)
-    idx = _ref_index(grid, x_ref, kernel.sector)
+    idx = _ref_index(grid, kernel.sector)
     with _scan(grid, kernel.epsilon, kernel.sector) as scan:
         w = np.multiply(V.values, u_n.values)
         scan.step(w[scan.start :], idx, w[scan.start :])
@@ -196,7 +198,6 @@ class WaxmanConfig:
     """Parameters of one fixed-point solve at fixed binding energy."""
 
     epsilon: float
-    x_ref: float | None = None
     tol: float = 1e-10
     max_iter: int = 500
     sector: str = "full"
@@ -220,16 +221,6 @@ class WaxmanResult:
     converged: bool
 
 
-def default_x_ref(grid: Grid, sector: str) -> float:
-    """Reference node: the origin, or (odd sector) the node nearest x = 1."""
-    if sector == "full":
-        return 0.0
-    target = min(1.0, 0.5 * grid.half_width)
-    idx = grid.mid_index + max(1, int(round(target / grid.spacing)))
-    idx = min(idx, grid.n_points - 2)
-    return float(grid.points[idx])
-
-
 def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     """Iterate the normalized map until successive iterates stop moving.
 
@@ -237,14 +228,13 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     flag, not raised; the final iterate and coupling are still returned.
     """
     grid = V.grid
-    x_ref = cfg.x_ref if cfg.x_ref is not None else default_x_ref(grid, cfg.sector)
-    idx = _ref_index(grid, x_ref, cfg.sector)
+    idx = _ref_index(grid, cfg.sector)
     # On an exactly even well every full-sector iterate is exactly even, so
     # both sectors iterate on the nodes x >= 0 and unfold u once at the end.
     even = cfg.sector == "full" and np.array_equal(V.values, V.values[::-1])
     residual, converged, iterations = math.inf, False, 0
     with _scan(grid, cfg.epsilon, cfg.sector, even) as scan:
-        # Ones (full sector) or x (odd sector): nonzero at every admissible x_ref.
+        # Ones (full sector) or x (odd sector): nonzero at the reference node.
         x = grid.points[scan.start :]
         u = np.ones_like(x) if cfg.sector == "full" else x / grid.points[idx]
         # The loop holds only u and the next iterate w: V*u goes into w, the step

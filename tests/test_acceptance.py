@@ -239,15 +239,15 @@ def test_criterion_09_property_suites(gaussian_setup, lanczos_comparison, rng):
     # normalized-step invariants
     k = GreensKernel(0.5)
     u0 = SampledFunction(grid, np.exp(-grid.points**2 / 3.0))
-    stepped = waxman_step(k, V, u0, 0.0)
+    stepped = waxman_step(k, V, u0)
     assert stepped.values[grid.mid_index] == 1.0
-    rescaled = waxman_step(k, V, SampledFunction(grid, 3.7 * u0.values), 0.0)
+    rescaled = waxman_step(k, V, SampledFunction(grid, 3.7 * u0.values))
     assert np.max(np.abs(stepped.values - rescaled.values)) <= 1e-12
 
     # positivity and antisymmetry
     u = SampledFunction(grid, np.ones(grid.n_points))
     for _ in range(4):
-        u = waxman_step(k, V, u, 0.0)
+        u = waxman_step(k, V, u)
         assert np.all(u.values > 0)
     w = apply_kernel(GreensKernel(0.5, "odd"), V, u).values
     assert np.max(np.abs(w + w[::-1])) <= 1e-12

@@ -1,5 +1,6 @@
 """Config parsing, subcommand behavior, and the exit-code contract."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -493,6 +494,25 @@ class TestExitCodes:
             "error: line 1: expected key=value, got 'potential gaussian'\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("sweep", "--epsilons 0.5 --output {tmp}/missing/s.csv"),
+            ("sweep", "--epsilons 0.5 --output {tmp}"),
+            ("solve-lanczos", "--output {tmp}/missing/t.csv"),
+            ("reproduce-paper", "--output-dir {tmp}/file"),
+        ],
+        ids=["sweep-missing-dir", "sweep-to-dir", "lanczos-missing-dir", "repro-to-file"],
+    )
+    def test_unwritable_output_is_1(self, command, argv, tmp_path):
+        (tmp_path / "file").write_text("")
+        if command != "reproduce-paper":
+            argv = "--potential gaussian --n-points 161 " + argv
+        code, out, err = _run_child(command, *argv.format(tmp=tmp_path).split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_kernel_overflow_below_the_guard_is_2(self):
         # sqrt(3495) * 12 = 709.4 passes the weight guard, but the trapezoid
         # pair sums overflow: a typed error and no warning, even under -W error.
@@ -566,7 +586,6 @@ NONFINITE_RUNS = [
     ("epsilon", f"solve-waxman {GAUSSIAN_601}", "{}"),
     ("epsilons", f"sweep {GAUSSIAN_601} --output {{tmp}}/s.csv", "0.1,{}"),
     ("epsilon_tail", f"threshold {GAUSSIAN_601}", "{},0.01,0.005"),
-    ("x_ref", f"solve-waxman {GAUSSIAN_601} --epsilon 0.5", "{}"),
     ("tol", f"solve-waxman {GAUSSIAN_601} --epsilon 0.5", "{}"),
     ("lambda", "oracle --potential poschl_teller", "{}"),
 ]
@@ -640,7 +659,6 @@ CONFIG_FLAGS = {
     "--epsilons",
     "--epsilon-tail",
     "--sector",
-    "--x-ref",
     "--tol",
     "--max-iter",
     "--lambda",
@@ -661,6 +679,24 @@ def test_flag_set_is_pinned(command, capsys):
     assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", options)) == FLAGS[command]
 
 
+def test_knob_set_is_pinned():
+    # Every config key in table (header) order, file-only keys included, and
+    # the fields of both solver configs: a new knob must edit this list.
+    assert [key.name for key in _KEYS] == [
+        "potential", "well_half_width", "table_values", "half_width", "n_points",
+        "solver", "epsilon", "epsilons", "epsilon_tail", "sector", "tol",
+        "max_iter", "lambda", "m", "parity", "method", "output",
+    ]
+    fields = {
+        cls: [f.name for f in dataclasses.fields(cls)]
+        for cls in (boundstates.WaxmanConfig, boundstates.ShootingConfig)
+    }
+    assert fields == {
+        boundstates.WaxmanConfig: ["epsilon", "tol", "max_iter", "sector"],
+        boundstates.ShootingConfig: ["lam", "parity", "half_width", "step"],
+    }
+
+
 PUBLIC_NAMES = {
     "ConfigError",
     "GridMismatchError",
@@ -678,7 +714,6 @@ PUBLIC_NAMES = {
     "apply_kernel",
     "waxman_step",
     "waxman_fixed_point",
-    "default_x_ref",
     "sweep_results",
     "sweep_epsilon",
     "curve_from_results",

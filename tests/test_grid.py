@@ -43,12 +43,15 @@ class TestMakeGrid:
         assert g.points[g.mid_index] == 0.0
         assert abs(g.spacing * (n - 1) - 2 * half_width) <= 1e-12 * half_width
 
-    def test_node_index(self):
-        g = make_grid(12.0, 2401)
-        assert g.node_index(0.0) == g.mid_index
-        assert g.node_index(1.0) == g.mid_index + 100
-        with pytest.raises(ValueError):
-            g.node_index(0.005)
+    @pytest.mark.parametrize("bad", [2401.7, 2401.0, "2401", True])
+    def test_non_integer_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="n_points must be an odd integer >= 3"):
+            make_grid(12.0, bad)
+
+    def test_numpy_integer_count_accepted(self):
+        g = make_grid(12.0, np.int64(2401))
+        assert type(g.n_points) is int
+        assert g.points.shape == (2401,)
 
 
 class TestSampledFunction:

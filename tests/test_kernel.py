@@ -13,7 +13,6 @@ from boundstates import (
     SampledFunction,
     WaxmanConfig,
     apply_kernel,
-    default_x_ref,
     make_grid,
     sample_potential,
     waxman_fixed_point,
@@ -173,10 +172,9 @@ def _reference_apply(scan, f):
 
 def _reference_fixed_point(cfg, V):
     # The fixed-point loop on the whole grid, with a fresh array for every
-    # intermediate; it reads x_ref, tol and max_iter from cfg.
+    # intermediate; it reads tol and max_iter from cfg.
     grid = V.grid
-    x_ref = cfg.x_ref if cfg.x_ref is not None else default_x_ref(grid, cfg.sector)
-    idx = grid.node_index(x_ref)
+    idx = waxman._ref_index(grid, cfg.sector)
     u = np.ones(grid.n_points) if cfg.sector == "full" else grid.points
     u = u / u[idx]
     scan = _KernelScan(grid, cfg.epsilon, cfg.sector)
@@ -264,19 +262,15 @@ class TestBufferedScan:
                 starts.append(self.start)
 
         monkeypatch.setattr(waxman, "_KernelScan", Recording)
-        mid = g.mid_index
-        cases = [(eps, None, 500) for eps in (1e-3, 0.05, 1.0, 175.0)]
-        for eps in (0.05, 175.0):  # x_ref 7 nodes either side of the origin
-            cases += [(eps, float(g.points[mid + k]), 500) for k in (7, -7)]
-        cases += [(1.0, float(g.points[mid - 7]), 3), (175.0, None, 3)]
-        for eps, x_ref, max_iter in cases:
-            cfg = WaxmanConfig(eps, x_ref, max_iter=max_iter, sector=sector)
+        cases = [(eps, 500) for eps in (1e-3, 0.05, 1.0, 175.0)] + [(175.0, 3)]
+        for eps, max_iter in cases:
+            cfg = WaxmanConfig(eps, max_iter=max_iter, sector=sector)
             res = waxman_fixed_point(cfg, V)
             lam, iterations, residual, u = _reference_fixed_point(cfg, V)
             assert (res.lam, res.iterations, res.residual) == (lam, iterations, residual)
             assert res.u.values.tobytes() == u.tobytes()
         whole_line = well == "table" and sector == "full"
-        assert starts == [0 if whole_line else mid] * len(cases)
+        assert starts == [0 if whole_line else g.mid_index] * len(cases)
 
     @pytest.mark.parametrize("n_points", [161, 2401, 50001])
     @pytest.mark.parametrize("sector", ["full", "odd"])

@@ -19,7 +19,6 @@ from boundstates import (
     apply_kernel,
     bound_state_residual,
     curve_from_results,
-    default_x_ref,
     invert_curve,
     make_grid,
     sample_potential,
@@ -64,21 +63,21 @@ class TestLambdaFrom:
     def test_vanishing_denominator_rejected(self, fine_grid, gaussian_fine):
         zero = SampledFunction(fine_grid, np.zeros(fine_grid.n_points))
         with pytest.raises(NoBoundStateError):
-            waxman_step(GreensKernel(1.0), gaussian_fine, zero, 0.0)
+            waxman_step(GreensKernel(1.0), gaussian_fine, zero)
 
 
 class TestWaxmanStep:
     def test_normalization_exact(self, fine_grid, gaussian_fine):
         u = SampledFunction(fine_grid, np.ones(fine_grid.n_points))
-        out = waxman_step(GreensKernel(0.5), gaussian_fine, u, 0.0)
+        out = waxman_step(GreensKernel(0.5), gaussian_fine, u)
         assert out.values[fine_grid.mid_index] == 1.0
 
     def test_scale_invariance(self, fine_grid, gaussian_fine):
         u = SampledFunction(fine_grid, np.exp(-fine_grid.points**2 / 3.0))
         k = GreensKernel(0.7)
-        s1 = waxman_step(k, gaussian_fine, u, 0.0).values
+        s1 = waxman_step(k, gaussian_fine, u).values
         s2 = waxman_step(
-            k, gaussian_fine, SampledFunction(fine_grid, -7.3 * u.values), 0.0
+            k, gaussian_fine, SampledFunction(fine_grid, -7.3 * u.values)
         ).values
         assert np.max(np.abs(s1 - s2)) <= 1e-12
 
@@ -86,12 +85,12 @@ class TestWaxmanStep:
         self, fine_grid, poschl_teller_fine
     ):
         sech = SampledFunction(fine_grid, 1.0 / np.cosh(fine_grid.points))
-        out = waxman_step(GreensKernel(1.0), poschl_teller_fine, sech, 0.0)
+        out = waxman_step(GreensKernel(1.0), poschl_teller_fine, sech)
         assert np.max(np.abs(out.values - sech.values)) < 2e-4
 
     def test_single_step_from_flat_start(self, fine_grid, gaussian_fine):
         u = SampledFunction(fine_grid, np.ones(fine_grid.n_points))
-        out = waxman_step(GreensKernel(0.479), gaussian_fine, u, 0.0).values
+        out = waxman_step(GreensKernel(0.479), gaussian_fine, u).values
         np.testing.assert_array_equal(out, out[::-1])
         assert np.all(out > 0.0)
         assert np.argmax(out) == fine_grid.mid_index
@@ -99,7 +98,7 @@ class TestWaxmanStep:
     def test_zero_start_rejected(self, fine_grid, gaussian_fine):
         zero = SampledFunction(fine_grid, np.zeros(fine_grid.n_points))
         with pytest.raises(SolverError):
-            waxman_step(GreensKernel(1.0), gaussian_fine, zero, 0.0)
+            waxman_step(GreensKernel(1.0), gaussian_fine, zero)
 
 
 class TestFixedPoint:
@@ -139,7 +138,7 @@ class TestFixedPoint:
         u = SampledFunction(fine_grid, np.ones(fine_grid.n_points))
         k = GreensKernel(0.4)
         for _ in range(5):
-            u = waxman_step(k, gaussian_fine, u, 0.0)
+            u = waxman_step(k, gaussian_fine, u)
             assert np.all(u.values > 0.0)
 
     def test_odd_sector_antisymmetric(self, fine_grid, gaussian_fine):
@@ -149,22 +148,37 @@ class TestFixedPoint:
         v = res.u.values
         assert np.max(np.abs(v + v[::-1])) <= 1e-12
         assert v[fine_grid.mid_index] == 0.0
-        assert v[fine_grid.node_index(1.0)] == 1.0
+        assert v[fine_grid.mid_index + round(1.0 / fine_grid.spacing)] == 1.0
 
-    def test_odd_sector_rejects_origin_reference(self, gaussian_fine):
-        with pytest.raises(ValueError, match="odd sector requires x_ref != 0"):
-            waxman_fixed_point(
-                WaxmanConfig(epsilon=0.3, sector="odd", x_ref=0.0), gaussian_fine
-            )
+    @pytest.mark.parametrize("half_width", [0.5, 1.7, 12.0, 400.0])
+    @pytest.mark.parametrize("sector", ["full", "odd"])
+    def test_step_and_solve_share_the_reference_node(self, sector, half_width):
+        # The origin in the full sector; in the odd sector, whose states vanish
+        # there, the node nearest min(1, half_width / 2) right of it, short of
+        # the edge.  A well as wide as the box binds on every grid.
+        target = 0.0 if sector == "full" else min(1.0, 0.5 * half_width)
+        for n in (5, 7, 9, 41, 401, 2401):
+            g = make_grid(half_width, n)
+            V = SampledFunction(g, np.exp(-((g.points / half_width) ** 2)))
+            u = SampledFunction(g, np.ones(n) if sector == "full" else g.points)
+            stepped = waxman_step(GreensKernel(0.25, sector), V, u).values
+            cfg = WaxmanConfig(epsilon=0.25, max_iter=3, sector=sector)
+            solved = waxman_fixed_point(cfg, V).u.values
+            (idx,) = np.flatnonzero(stepped == 1.0)
+            assert np.flatnonzero(solved == 1.0).tolist() == [idx]
+            if sector == "full":
+                assert idx == g.mid_index
+            else:
+                assert g.mid_index < idx <= n - 2
+                gaps = np.abs(g.points[g.mid_index + 1 : n - 1] - target)
+                assert abs(g.points[idx] - target) <= gaps.min() + 1e-12 * half_width
 
-    @pytest.mark.parametrize("entry", [waxman_step], ids=lambda f: f.__name__)
-    def test_one_shot_odd_entries_reject_origin_reference(
-        self, entry, fine_grid, gaussian_fine
-    ):
-        # The same ValueError as the solve, not a vanishing kernel integral.
-        u = SampledFunction(fine_grid, fine_grid.points)
-        with pytest.raises(ValueError, match="odd sector requires x_ref != 0"):
-            entry(GreensKernel(0.3, "odd"), gaussian_fine, u, 0.0)
+    def test_odd_sector_rejects_origin_reference(self):
+        # Three nodes leave no reference node between the origin and the edge.
+        g = make_grid(1.0, 3)
+        V = SampledFunction(g, np.ones(3))
+        with pytest.raises(ValueError, match="odd sector needs n_points >= 5"):
+            waxman_fixed_point(WaxmanConfig(epsilon=0.5, sector="odd"), V)
 
     @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, 0])
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
@@ -175,15 +189,11 @@ class TestFixedPoint:
         cfg = WaxmanConfig(epsilon=0.5, max_iter=np.int64(2))
         assert waxman_fixed_point(cfg, gaussian_fine).iterations == 2
 
-    def test_default_reference_nodes(self, fine_grid):
-        assert default_x_ref(fine_grid, "full") == 0.0
-        assert default_x_ref(fine_grid, "odd") == pytest.approx(1.0, abs=1e-12)
-
     def test_converged_iterate_is_fixed(self, poschl_teller_fine):
         res = waxman_fixed_point(
             WaxmanConfig(epsilon=1.0, tol=1e-13, max_iter=2000), poschl_teller_fine
         )
-        stepped = waxman_step(GreensKernel(1.0), poschl_teller_fine, res.u, 0.0)
+        stepped = waxman_step(GreensKernel(1.0), poschl_teller_fine, res.u)
         assert np.max(np.abs(stepped.values - res.u.values)) <= 1e-12
 
     def test_dense_eigenvector_is_fixed(self):
@@ -206,7 +216,7 @@ class TestFixedPoint:
         for _ in range(60):
             v = M @ v
             v /= v[idx]
-        stepped = waxman_step(GreensKernel(eps), V, SampledFunction(g, v), 0.0)
+        stepped = waxman_step(GreensKernel(eps), V, SampledFunction(g, v))
         assert np.max(np.abs(stepped.values - v)) <= 1e-10
 
 
@@ -271,9 +281,8 @@ class TestSweep:
     def test_one_shot_overflow_is_a_solver_error(self, entry, recwarn):
         W = sample_potential(PotentialSpec.square_well(20.0), make_grid(12.0, 2401))
         u = SampledFunction(W.grid, np.ones(W.grid.n_points))
-        args = (GreensKernel(3495.0), W, u) + ((0.0,) if entry != "apply_kernel" else ())
         with pytest.raises(SolverError, match="overflow at epsilon=3495"):
-            getattr(waxman, entry)(*args)
+            getattr(waxman, entry)(GreensKernel(3495.0), W, u)
         assert len(recwarn) == 0
 
     def test_csv_format_and_determinism(self, gaussian_fine):
