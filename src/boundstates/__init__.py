@@ -45,7 +45,6 @@ from .waxman import (
     bound_state_residual,
     curve_from_results,
     invert_curve,
-    sweep_epsilon,
     sweep_results,
     threshold_lambda,
     waxman_fixed_point,
@@ -73,7 +72,6 @@ __all__ = [
     "waxman_step",
     "waxman_fixed_point",
     "sweep_results",
-    "sweep_epsilon",
     "curve_from_results",
     "invert_curve",
     "threshold_lambda",

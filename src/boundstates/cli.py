@@ -37,7 +37,7 @@ class _Key:
     """One config key: how a file value or flag is parsed, and its default.
 
     ``flag`` is the command-line spelling; keys without one are set only in
-    config files.  ``required_by`` names the potential kind that needs the key.
+    config files.
     """
 
     name: str
@@ -45,15 +45,14 @@ class _Key:
     default: object = None
     choices: tuple[str, ...] | None = None
     flag: str | None = None
-    required_by: str | None = None
 
 
 # Table order is the order of the header every report starts with.
 _KEYS = (
     _Key("potential", str, choices=KINDS, flag="--potential"),
-    _Key("well_half_width", float, flag="--well-half-width", required_by="square_well"),
-    _Key("table_values", _float_list, required_by="table"),
-    _Key("half_width", float, 12.0, flag="--half-width"),
+    _Key("well_half_width", float, flag="--well-half-width"),
+    _Key("table_values", _float_list),
+    _Key("half_width", float, ShootingConfig.half_width, flag="--half-width"),
     _Key("n_points", int, 2401, flag="--n-points"),
     _Key("solver", str, choices=("waxman", "lanczos", "oracle")),
     _Key("epsilon", float, flag="--epsilon"),
@@ -74,13 +73,11 @@ _BY_NAME = {key.name: key for key in _KEYS}
 def _resolve(values: dict, defaults: dict, required: tuple[str, ...] = ()) -> dict:
     """Every key in table order, by precedence key default < command default < set.
 
-    Raises ``ConfigError`` naming every unset key among ``potential``,
-    ``required`` and the keys the chosen potential kind needs.
+    Raises ``ConfigError`` naming every unset key among ``potential`` and
+    ``required``.
     """
     cfg = {key.name: key.default for key in _KEYS} | defaults | values
-    kind = cfg["potential"]
-    needed = [key.name for key in _KEYS if kind and key.required_by == kind]
-    missing = [name for name in ("potential", *required, *needed) if cfg[name] is None]
+    missing = [name for name in ("potential", *required) if cfg[name] is None]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return cfg
@@ -139,12 +136,8 @@ def _report(cfg: dict, stream: IO[str], results: dict | None = None) -> None:
 
 
 def _build_spec(cfg: dict) -> PotentialSpec:
-    kind = cfg["potential"]
-    if kind == "square_well":
-        return PotentialSpec.square_well(cfg["well_half_width"])
-    if kind == "table":
-        return PotentialSpec.table(cfg["table_values"])
-    return PotentialSpec(kind)
+    # The spec decides which parameters its kind takes, and rejects the rest.
+    return PotentialSpec(cfg["potential"], cfg["well_half_width"], cfg["table_values"])
 
 
 def _build_potential(cfg: dict) -> SampledFunction:
@@ -212,10 +205,9 @@ def _cmd_sweep(cfg: dict, stream: IO[str]) -> None:
 
 def _cmd_invert(cfg: dict, stream: IO[str]) -> None:
     V = _build_potential(cfg)
-    curve = wx.sweep_epsilon(
-        cfg["epsilons"], V, sector=cfg["sector"], **_waxman_overrides(cfg)
-    )
-    epsilon = wx.invert_curve(curve, cfg["lambda"])
+    sector = cfg["sector"]
+    points = wx.sweep_results(cfg["epsilons"], V, sector, **_waxman_overrides(cfg))
+    epsilon = wx.invert_curve(wx.curve_from_results(points, sector), cfg["lambda"])
     _report(
         cfg, stream, {"lambda": cfg["lambda"], "epsilon": epsilon, "energy": -epsilon}
     )

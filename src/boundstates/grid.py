@@ -45,15 +45,24 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def check_integer(name: str, value: int, minimum: int, odd: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= minimum, odd if asked.
+
+    numpy integers pass; a ``bool`` or a float does not, whatever its value.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < minimum or (odd and value % 2 == 0):
+        kind = "an odd integer" if odd else "an integer"
+        raise ValueError(f"{name} must be {kind} >= {minimum}, got {value!r}")
+
+
 def make_grid(half_width: float, n_points: int) -> Grid:
     """Build a symmetric uniform grid with ``n_points`` nodes on [-L, L].
 
     ``n_points`` must be an odd integer so that x = 0 is a node.
     """
     check_positive("half_width", half_width)
-    integer = isinstance(n_points, (int, np.integer)) and not isinstance(n_points, bool)
-    if not integer or n_points < 3 or n_points % 2 == 0:
-        raise ValueError(f"n_points must be an odd integer >= 3, got {n_points!r}")
+    check_integer("n_points", n_points, 3, odd=True)
     n_points = int(n_points)
     spacing = 2.0 * half_width / (n_points - 1)
     mid = (n_points - 1) // 2

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, check_positive, check_same_grid
+from .grid import Grid, SampledFunction, check_integer, check_positive, check_same_grid
 
 # Classification thresholds: delta below TAU_ZERO and falling reads as a
 # genuine bound pair, delta above TAU_SPUR and not falling as spurious;
@@ -29,6 +29,9 @@ MATCH_GATE = 0.1
 
 # Ritz vectors scored per pass of the stencil over a block of rows.
 _BLOCK_ROWS = 16
+# A new Lanczos direction shorter than this ends the run: the Krylov space
+# is invariant.
+_BETA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,17 +122,14 @@ class LanczosRun:
     m: int
 
 
-def lanczos_run(
-    H: Hamiltonian, phi1: SampledFunction, m: int, beta_tol: float = 1e-12
-) -> LanczosRun:
+def lanczos_run(H: Hamiltonian, phi1: SampledFunction, m: int) -> LanczosRun:
     """Three-term recursion with full reorthogonalization at every step.
 
-    Stops early when the new direction's norm falls below ``beta_tol``
+    Stops early when the new direction's norm falls below ``_BETA_TOL``
     (invariant subspace reached); the returned lists are truncated
     consistently, with len(betas) == len(alphas) - 1.
     """
-    if m < 1:
-        raise ValueError(f"iteration count m must be >= 1, got {m!r}")
+    check_integer("iteration count m", m, 1)
     grid = H.grid
     check_same_grid(grid, phi1.grid, "start vector must live on the Hamiltonian's grid")
     if abs(_norm(grid, phi1.values) - 1.0) > 1e-8:
@@ -156,7 +156,7 @@ def lanczos_run(
         for _ in range(2):
             r -= (h * (Q[: k + 1] @ r)) @ Q[: k + 1]
         beta = _norm(grid, r)
-        if beta < beta_tol:
+        if beta < _BETA_TOL:
             break
         betas.append(beta)
         Q[k + 1] = r / beta

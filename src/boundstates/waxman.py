@@ -13,7 +13,6 @@ the origin) does the same for the first excited state of an even well.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
@@ -21,7 +20,9 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import NoBoundStateError, SolverError
-from .grid import Grid, SampledFunction, check_positive, check_same_grid, find_root
+from .grid import (
+    Grid, SampledFunction, check_integer, check_positive, check_same_grid, find_root
+)
 from .lanczos import Hamiltonian, hamiltonian_apply
 
 SECTORS = ("full", "odd")
@@ -62,7 +63,7 @@ class _KernelScan:
     half-integrals, so exponential prefix sums reproduce the trapezoid
     quadrature of the kinked integrand exactly, without the dense matrix.
     The weights exp(+-sqrt(eps) x) must fit in a float over the whole box;
-    where they do not, the scan raises ``SolverError`` before computing any.
+    built inside ``_scan``, an overflowing weight raises ``SolverError``.
     It holds the weights and the two running integrals, allocated once; an
     apply needs no other scratch, and its output may overwrite its input.
 
@@ -75,11 +76,6 @@ class _KernelScan:
         self.epsilon = epsilon
         self.sector = sector
         self.s = math.sqrt(epsilon)
-        if self.s * grid.half_width > math.log(sys.float_info.max):
-            raise SolverError(
-                f"kernel weights exp(sqrt(eps) * half_width) overflow at "
-                f"epsilon={epsilon:g}, half_width={grid.half_width:g}"
-            )
         self.parity = -1.0 if sector == "odd" else 1.0 if even else 0.0
         self.start = grid.mid_index if self.parity else 0
         x = grid.points[self.start :]
@@ -205,8 +201,7 @@ class WaxmanConfig:
     def __post_init__(self):
         GreensKernel(self.epsilon, self.sector)  # validates epsilon and sector
         check_positive("tol", self.tol)
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_integer("max_iter", self.max_iter, 1)
 
 
 @dataclass
@@ -327,16 +322,6 @@ def curve_from_results(
         raise SolverError("no epsilon in the sweep produced a converged bound state")
     eps, lams = zip(*kept)
     return LambdaEpsilonCurve(np.array(eps), np.array(lams), sector)
-
-
-def sweep_epsilon(
-    epsilons: Sequence[float],
-    V: SampledFunction,
-    sector: str = "full",
-    **config,
-) -> LambdaEpsilonCurve:
-    """Sweep the binding energy and collect the coupling curve."""
-    return curve_from_results(sweep_results(epsilons, V, sector, **config), sector)
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from boundstates import (
     ShootingConfig,
     bound_state_residual,
     classify_pairs,
+    curve_from_results,
     delta_check,
     hamiltonian_apply,
     invert_curve,
@@ -28,7 +29,6 @@ from boundstates import (
     sample_potential,
     shooting_eigenvalue,
     start_vector,
-    sweep_epsilon,
     sweep_results,
     threshold_lambda,
     tridiagonal_eigen,
@@ -67,7 +67,7 @@ def gaussian_setup():
 @pytest.fixture(scope="module")
 def full_curve(gaussian_setup):
     _, V = gaussian_setup
-    return sweep_epsilon(np.linspace(0.1, 1.0, 37), V, "full")
+    return curve_from_results(sweep_results(np.linspace(0.1, 1.0, 37), V))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def eps_at_unit_coupling(full_curve):
 def odd_curve(gaussian_setup):
     _, V = gaussian_setup
     epsilons = [1e-4, 1e-3, 1e-2] + list(np.linspace(0.05, 1.0, 20))
-    return sweep_epsilon(epsilons, V, "odd")
+    return curve_from_results(sweep_results(epsilons, V, "odd"), "odd")
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +193,7 @@ def test_criterion_08_analytic_fixtures():
     # sech^2 well at coupling 2: unit binding energy
     g = make_grid(12.0, 2401)
     Vpt = sample_potential(PotentialSpec.poschl_teller(), g)
-    curve = sweep_epsilon(np.linspace(0.6, 1.4, 9), Vpt, "full")
+    curve = curve_from_results(sweep_results(np.linspace(0.6, 1.4, 9), Vpt))
     eps_pt = invert_curve(curve, 2.0)
     assert eps_pt == pytest.approx(1.0, abs=1e-3)
     eps_pt_shoot = shooting_eigenvalue(
@@ -204,7 +204,7 @@ def test_criterion_08_analytic_fixtures():
     # square well: transcendental-root level and the odd threshold
     gq = make_grid(12.0, 9601)
     Vq = sample_potential(PotentialSpec.square_well(1.0), gq)
-    curve_q = sweep_epsilon(np.linspace(0.35, 0.55, 9), Vq, "full")
+    curve_q = curve_from_results(sweep_results(np.linspace(0.35, 0.55, 9), Vq))
     eps_q = invert_curve(curve_q, 1.0)
     assert eps_q == pytest.approx(SQUARE_WELL_EPS_LAM1, abs=2e-3)
 

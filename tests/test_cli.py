@@ -98,9 +98,9 @@ class TestParseConfig:
         assert "potential" in self._error("solve-waxman", "", tmp_path, capsys)
 
     def test_potential_parameter_is_required(self, capsys, tmp_path):
-        # oracle requires no key of its own, so only the table's is missing.
+        # oracle requires no key of its own; the well spec rejects a bare table.
         err = self._error("oracle", "potential=table\n", tmp_path, capsys)
-        assert "missing required keys: table_values" in err
+        assert "table requires explicit values" in err
 
     def test_duplicate_key_rejected(self, capsys, tmp_path):
         err = self._error(
@@ -407,13 +407,18 @@ class TestExitCodes:
         assert main(["solve-waxman", "--config", str(cfgfile), "--epsilon", "0.5"]) == 1
 
     @pytest.mark.parametrize(
-        "potential,key", [("square_well", "well_half_width"), ("table", "table_values")]
+        "potential,error",
+        [
+            ("square_well", "square_well requires a half-width a"),
+            ("table", "table requires explicit values"),
+        ],
+        ids=["square_well-well_half_width", "table-table_values"],
     )
-    def test_missing_potential_parameter_is_1(self, potential, key, capsys):
+    def test_missing_potential_parameter_is_1(self, potential, error, capsys):
         assert main(["oracle", "--potential", potential]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: missing required keys: {key}\n"
+        assert captured.err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
         "argv, report, error",
@@ -447,11 +452,14 @@ class TestExitCodes:
         assert captured.err == f"error: {error}\n"
 
     def test_kernel_overflow_is_2(self, capsys, recwarn):
-        # exp(sqrt(200) * 60) = exp(848) is past the float range: a numerical
-        # failure, reported before any exponential is computed.
+        # exp(sqrt(200) * 60) = exp(848) is past the float range: the scan's
+        # float check turns the overflowing weight into a numerical failure.
         argv = ["--potential", "gaussian", "--half-width", "60", "--epsilon", "200"]
         assert main(["solve-waxman", *argv]) == 2
-        assert "overflow" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: kernel scan overflow at epsilon=200 (full sector): "
+            "overflow encountered in exp\n"
+        )
         assert len(recwarn) == 0
 
     def test_wide_box_potential_is_0_without_warning(self, capsys):
@@ -513,9 +521,10 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_kernel_overflow_below_the_guard_is_2(self):
-        # sqrt(3495) * 12 = 709.4 passes the weight guard, but the trapezoid
-        # pair sums overflow: a typed error and no warning, even under -W error.
+    def test_kernel_sum_overflow_is_2(self):
+        # sqrt(3495) * 12 = 709.4 keeps the weights inside the float range, but
+        # the trapezoid pair sums overflow: a typed error and no warning, even
+        # under -W error.
         argv = ["--potential", "square_well", "--well-half-width", "20",
                 "--half-width", "12", "--n-points", "2401", "--epsilon", "3495"]
         code, out, err = _run_child("solve-waxman", *argv)
@@ -647,6 +656,38 @@ def test_header_reproduces_the_run(command, capsys, tmp_path):
     assert capsys.readouterr().out == out
 
 
+# A well parameter its kind does not take: extra flags, config lines, error.
+IGNORED_WELL_PARAMETERS = {
+    "half-width-on-gaussian": (
+        "--potential gaussian --well-half-width 1", "",
+        "gaussian takes no half-width parameter",
+    ),
+    "values-on-gaussian": (
+        "--potential gaussian", "table_values=1,2,3\n",
+        "gaussian takes no explicit values",
+    ),
+    "half-width-on-table": (
+        "--potential table --well-half-width 1", "table_values=1,2,3\n",
+        "table takes no half-width parameter",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(IGNORED_WELL_PARAMETERS))
+@pytest.mark.parametrize("command", list(HEADER_RUNS))
+def test_header_never_names_an_ignored_key(command, case, capsys, tmp_path):
+    # A run would print the parameter in its header and then ignore it, so
+    # the run is refused before it solves or writes anything.
+    flags, lines, error = IGNORED_WELL_PARAMETERS[case]
+    cfgfile = tmp_path / "well.cfg"
+    cfgfile.write_text(lines)
+    argv = HEADER_RUNS[command].format(tmp=tmp_path).split() + flags.split()
+    assert main([command, *argv, "--config", str(cfgfile)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
 CONFIG_FLAGS = {
     "-h",
     "--help",
@@ -715,7 +756,6 @@ PUBLIC_NAMES = {
     "waxman_step",
     "waxman_fixed_point",
     "sweep_results",
-    "sweep_epsilon",
     "curve_from_results",
     "invert_curve",
     "threshold_lambda",

@@ -205,6 +205,12 @@ class TestLanczosRun:
         with pytest.raises(ValueError):
             lanczos_run(H, start_vector(g), 0)
 
+    @pytest.mark.parametrize("m", [3.0, True])
+    def test_non_integer_m_rejected(self, m):
+        g, H = _coarse_setup()
+        with pytest.raises(ValueError, match="iteration count m must be an integer"):
+            lanczos_run(H, start_vector(g), m)
+
     def test_non_unit_start_rejected(self):
         g, H = _coarse_setup()
         bad = SampledFunction(g, 2.0 * start_vector(g).values)
@@ -426,12 +432,14 @@ class TestClassifyPairs:
         assert spurious
         assert min(p.delta for p in spurious) / lowest_pair.delta >= 10.0
 
-    def test_exact_start_always_genuine(self):
+    def test_exact_start_always_genuine(self, monkeypatch):
         g, H = _coarse_setup()
         _, phi = _ground_eigvec(H)
-        # beta_tol=0 pushes past the immediate breakdown so a history of
-        # useful length exists; the converged pair must stay genuine.
-        run = lanczos_run(H, phi, 5, beta_tol=0.0)
+        # A zero breakdown tolerance pushes past the immediate breakdown so a
+        # history of useful length exists; the converged pair must stay genuine.
+        monkeypatch.setattr(lanczos, "_BETA_TOL", 0.0)
+        run = lanczos_run(H, phi, 5)
+        assert run.m == 5
         history = ritz_history(run, H)
         for length in range(3, run.m + 1):
             labelled = classify_pairs(history[:length])

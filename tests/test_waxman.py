@@ -23,7 +23,6 @@ from boundstates import (
     make_grid,
     sample_potential,
     shooting_eigenvalue,
-    sweep_epsilon,
     sweep_results,
     threshold_lambda,
     waxman_fixed_point,
@@ -180,7 +179,7 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="odd sector needs n_points >= 5"):
             waxman_fixed_point(WaxmanConfig(epsilon=0.5, sector="odd"), V)
 
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, 0])
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, 0, True])
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
             WaxmanConfig(epsilon=0.5, max_iter=max_iter)
@@ -222,7 +221,7 @@ class TestFixedPoint:
 
 @pytest.fixture(scope="module")
 def gaussian_curve(gaussian_fine):
-    return sweep_epsilon(np.linspace(0.1, 1.0, 19), gaussian_fine, "full")
+    return curve_from_results(sweep_results(np.linspace(0.1, 1.0, 19), gaussian_fine))
 
 
 class TestSweep:
@@ -230,7 +229,8 @@ class TestSweep:
         assert np.all(np.diff(gaussian_curve.lambdas) > 0)
 
     def test_lambda_monotone_over_wide_range(self, gaussian_fine):
-        curve = sweep_epsilon(np.linspace(0.05, 1.5, 30), gaussian_fine, "full")
+        points = sweep_results(np.linspace(0.05, 1.5, 30), gaussian_fine)
+        curve = curve_from_results(points)
         assert np.all(np.diff(curve.lambdas) > 0)
 
     def test_shooting_spot_checks(self, gaussian_curve):
@@ -243,16 +243,16 @@ class TestSweep:
             assert back == pytest.approx(gaussian_curve.epsilons[i], abs=1e-3)
 
     def test_single_point_curve(self, poschl_teller_fine):
-        curve = sweep_epsilon([1.0], poschl_teller_fine, "full")
+        curve = curve_from_results(sweep_results([1.0], poschl_teller_fine))
         assert curve.lambdas[0] == pytest.approx(2.0, abs=1e-3)
 
     def test_empty_list_rejected(self, gaussian_fine):
         with pytest.raises(ValueError):
-            sweep_epsilon([], gaussian_fine)
+            curve_from_results(sweep_results([], gaussian_fine))
 
     def test_unsorted_rejected(self, gaussian_fine):
         with pytest.raises(ValueError):
-            sweep_epsilon([0.5, 0.2], gaussian_fine)
+            curve_from_results(sweep_results([0.5, 0.2], gaussian_fine))
 
     def test_failures_become_gaps(self, gaussian_fine):
         points = sweep_results([0.2, 0.5], gaussian_fine, max_iter=1)
@@ -269,8 +269,9 @@ class TestSweep:
         assert overflow.result is None and "overflow" in overflow.error
         with pytest.raises(SolverError, match="overflow"):
             waxman_fixed_point(WaxmanConfig(epsilon=200.0), V)
-        # sqrt(3495) * 12 = 709.4 passes the weight guard (709.78), but the
-        # trapezoid pair sums of grow*u pass the float maximum.
+        # sqrt(3495) * 12 = 709.4 keeps the weights exp(sqrt(eps) x) inside the
+        # float range (up to exp(709.78)), but the trapezoid pair sums of
+        # grow*u pass the float maximum.
         W = sample_potential(PotentialSpec.square_well(20.0), make_grid(12.0, 2401))
         (near,) = sweep_results([3495.0], W)
         assert near.result is None
@@ -311,7 +312,8 @@ class TestInvertCurve:
         assert invert_curve(curve, 1.0) == 0.4
 
     def test_gaussian_ground_state(self, gaussian_fine):
-        curve = sweep_epsilon(np.linspace(0.3, 0.7, 17), gaussian_fine, "full")
+        points = sweep_results(np.linspace(0.3, 0.7, 17), gaussian_fine)
+        curve = curve_from_results(points)
         eps = invert_curve(curve, 1.0)
         assert eps == pytest.approx(REPORTED_GROUND_EPS, abs=2e-3)
         assert eps == pytest.approx(GAUSSIAN_EPS_LAM1, abs=1e-4)
@@ -376,7 +378,8 @@ class TestPchipParity:
             ("full", cli.FULL_SWEEP_EPSILONS),
             ("odd", cli.ODD_SWEEP_EPSILONS),
         ):
-            curve = sweep_epsilon(epsilons, gaussian_fine, sector)
+            points = sweep_results(epsilons, gaussian_fine, sector)
+            curve = curve_from_results(points, sector)
             out[sector] = (curve.epsilons, curve.lambdas)
         return out
 
@@ -446,7 +449,6 @@ BAD_EPSILONS = {
 }
 CURVE_CALLERS = {
     "sweep_results": lambda eps, V: sweep_results(eps, V),
-    "sweep_epsilon": lambda eps, V: sweep_epsilon(eps, V),
     "threshold_lambda": lambda eps, V: threshold_lambda(V, "odd", eps[::-1]),
     "LambdaEpsilonCurve": lambda eps, V: LambdaEpsilonCurve(eps, np.ones(len(eps))),
 }
@@ -483,7 +485,7 @@ class TestThresholdTail:
         # exp(sqrt(eps) * 60) overflows for eps >= 140: the first tail point
         # in tail order fails, and its recorded error is reported with it.
         V = sample_potential(PotentialSpec.gaussian(), make_grid(60.0, 2401))
-        with pytest.raises(SolverError, match="epsilon=300: kernel weights"):
+        with pytest.raises(SolverError, match="epsilon=300: kernel scan overflow"):
             threshold_lambda(V, "odd", [300.0, 200.0, 100.0])
         assert len(recwarn) == 0
 
