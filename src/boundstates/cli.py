@@ -36,8 +36,8 @@ def _float_list(raw: str) -> tuple[float, ...]:
 class _Key:
     """One config key: how a file value or flag is parsed, and its default.
 
-    ``flag`` is the command-line spelling; keys without one are set only in
-    config files.
+    ``flag`` is the command-line spelling; ``table_values``, the one key
+    without one, is set only in config files.
     """
 
     name: str
@@ -54,7 +54,6 @@ _KEYS = (
     _Key("table_values", _float_list),
     _Key("half_width", float, ShootingConfig.half_width, flag="--half-width"),
     _Key("n_points", int, 2401, flag="--n-points"),
-    _Key("solver", str, choices=("waxman", "lanczos", "oracle")),
     _Key("epsilon", float, flag="--epsilon"),
     _Key("epsilons", _float_list, flag="--epsilons"),
     _Key("epsilon_tail", _float_list, flag="--epsilon-tail"),
@@ -68,19 +67,6 @@ _KEYS = (
     _Key("output", str, flag="--output"),
 )
 _BY_NAME = {key.name: key for key in _KEYS}
-
-
-def _resolve(values: dict, defaults: dict, required: tuple[str, ...] = ()) -> dict:
-    """Every key in table order, by precedence key default < command default < set.
-
-    Raises ``ConfigError`` naming every unset key among ``potential`` and
-    ``required``.
-    """
-    cfg = {key.name: key.default for key in _KEYS} | defaults | values
-    missing = [name for name in ("potential", *required) if cfg[name] is None]
-    if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    return cfg
 
 
 def _parse_value(key: _Key, raw: str, line_no: int):
@@ -98,8 +84,8 @@ def _parse_value(key: _Key, raw: str, line_no: int):
     return value
 
 
-def _parse_values(text: str) -> dict:
-    """Flat key=value lines ('#' starts a comment), rejected with their line number."""
+def _parse_values(text: str, names: tuple[str, ...]) -> dict:
+    """Flat key=value lines of ``names`` ('#' starts a comment), errors by line."""
     values = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -109,7 +95,7 @@ def _parse_values(text: str) -> dict:
             raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
         name, _, raw = line.partition("=")
         name = name.strip()
-        if name not in _BY_NAME:
+        if name not in names:
             raise ConfigError(f"line {line_no}: unknown key '{name}'")
         if name in values:
             raise ConfigError(f"line {line_no}: duplicate key '{name}'")
@@ -423,23 +409,32 @@ def run_reproduce_paper(
 
 @dataclass(frozen=True)
 class _Command:
-    """A config-driven subcommand: its solver, required keys and own defaults."""
+    """A config-driven subcommand: the keys its handler reads (its flags, its
+    config file's keys and its header lines), the required ones and defaults."""
 
-    solver: str
     run: Callable[[dict, IO[str]], None]
+    keys: tuple[str, ...]
     required: tuple[str, ...] = ()
     defaults: dict = field(default_factory=dict)
 
 
+# Every command builds its well; oracle's analytic method alone skips half_width.
+_WELL = ("potential", "well_half_width", "table_values", "half_width")
+_WAXMAN = (*_WELL, "n_points", "sector", "tol", "max_iter")
 _COMMANDS = {
-    "solve-waxman": _Command("waxman", _cmd_solve_waxman, ("epsilon",)),
-    "sweep": _Command("waxman", _cmd_sweep, ("epsilons", "output")),
-    "invert": _Command("waxman", _cmd_invert, ("epsilons",)),
-    "threshold": _Command(
-        "waxman", _cmd_threshold, (), {"sector": "odd", "epsilon_tail": THRESHOLD_TAIL}
+    "solve-waxman": _Command(_cmd_solve_waxman, (*_WAXMAN, "epsilon"), ("epsilon",)),
+    "sweep": _Command(
+        _cmd_sweep, (*_WAXMAN, "epsilons", "output"), ("epsilons", "output")
     ),
-    "solve-lanczos": _Command("lanczos", _cmd_solve_lanczos),
-    "oracle": _Command("oracle", _cmd_oracle),
+    "invert": _Command(_cmd_invert, (*_WAXMAN, "epsilons", "lambda"), ("epsilons",)),
+    "threshold": _Command(
+        _cmd_threshold, (*_WAXMAN, "epsilon_tail"), (),
+        {"sector": "odd", "epsilon_tail": THRESHOLD_TAIL},
+    ),
+    "solve-lanczos": _Command(
+        _cmd_solve_lanczos, (*_WELL, "n_points", "lambda", "m", "output")
+    ),
+    "oracle": _Command(_cmd_oracle, (*_WELL, "lambda", "parity", "method")),
 }
 
 
@@ -452,30 +447,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _merge_config(args: argparse.Namespace, command: _Command) -> dict:
+    """The command's keys in table order, by key default < command default < file
+    < flag; a ``ConfigError`` names every required key left unset."""
     values = {}
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        values = _parse_values(text)
-    if values.setdefault("solver", command.solver) != command.solver:
-        raise ConfigError(f"solver={values['solver']} does not match this command")
-    for key in _KEYS:
-        value = getattr(args, key.name, None)
-        if value is not None:
-            values[key.name] = value
-    return _resolve(values, command.defaults, command.required)
+        values = _parse_values(text, command.keys)
+    cfg = {key.name: key.default for key in _KEYS if key.name in command.keys}
+    cfg |= command.defaults | values
+    cfg |= {name: v for name, v in vars(args).items() if name in cfg and v is not None}
+    missing = [name for name in ("potential", *command.required) if cfg[name] is None]
+    if missing:
+        raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _Parser(prog="boundstates", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub = subs.add_parser(name)
+    for name, command in _COMMANDS.items():
+        # No abbreviations: sweep would read --epsilon as its --epsilons.
+        sub = subs.add_parser(name, allow_abbrev=False)
         sub.add_argument("--config", help="path to a key=value config file")
         for key in _KEYS:
-            if key.flag is not None:
+            if key.flag is not None and key.name in command.keys:
                 sub.add_argument(
                     key.flag,
                     dest=key.name,

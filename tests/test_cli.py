@@ -15,7 +15,9 @@ import pytest
 
 import boundstates
 from boundstates import waxman
-from boundstates.cli import _KEYS, _float_list, _render, main, run_reproduce_paper
+from boundstates.cli import (
+    _COMMANDS, _KEYS, _float_list, _render, main, run_reproduce_paper
+)
 from _threshold import gaussian_odd_threshold
 
 
@@ -39,7 +41,7 @@ class TestParseConfig:
     def test_minimal_with_defaults(self, capsys, tmp_path):
         code, header, _ = _run_config(
             "solve-waxman",
-            "potential=gaussian\nsolver=waxman\nepsilon=0.479203\n",
+            "potential=gaussian\nepsilon=0.479203\n",
             tmp_path,
             capsys,
         )
@@ -54,13 +56,12 @@ class TestParseConfig:
     def test_comments_and_blank_lines(self, capsys, tmp_path):
         code, header, _ = _run_config(
             "oracle",
-            "# experiment\n\npotential=gaussian  # the shape\nsolver=oracle\n",
+            "# experiment\n\npotential=gaussian  # the shape\n",
             tmp_path,
             capsys,
         )
         assert code == 0
         assert header.get("potential") == "gaussian"
-        assert header.get("solver") == "oracle"
 
     @staticmethod
     def _error(command, text, tmp_path, capsys):
@@ -73,7 +74,7 @@ class TestParseConfig:
     def test_unknown_key_named_with_line(self, capsys, tmp_path):
         err = self._error(
             "solve-waxman",
-            "potential=gaussian\nfrequency=3\nsolver=waxman\n",
+            "potential=gaussian\nfrequency=3\n",
             tmp_path,
             capsys,
         )
@@ -81,14 +82,14 @@ class TestParseConfig:
 
     def test_unknown_potential_named(self, capsys, tmp_path):
         err = self._error(
-            "solve-waxman", "potential=unknown_shape\nsolver=waxman\n", tmp_path, capsys
+            "solve-waxman", "potential=unknown_shape\n", tmp_path, capsys
         )
         assert "unknown_shape" in err
 
     def test_malformed_value_has_line_number(self, capsys, tmp_path):
         err = self._error(
             "solve-waxman",
-            "potential=gaussian\nepsilon=abc\nsolver=waxman\n",
+            "potential=gaussian\nepsilon=abc\n",
             tmp_path,
             capsys,
         )
@@ -105,7 +106,7 @@ class TestParseConfig:
     def test_duplicate_key_rejected(self, capsys, tmp_path):
         err = self._error(
             "solve-waxman",
-            "potential=gaussian\nsolver=waxman\nsolver=oracle\n",
+            "potential=gaussian\nepsilon=0.5\nepsilon=0.6\n",
             tmp_path,
             capsys,
         )
@@ -114,7 +115,7 @@ class TestParseConfig:
     def test_list_values(self, capsys, tmp_path):
         code, header, _ = _run_config(
             "sweep",
-            "potential=gaussian\nsolver=waxman\nepsilons=0.1,0.2,0.3\n"
+            "potential=gaussian\nepsilons=0.1,0.2,0.3\n"
             f"output={tmp_path / 'sweep.csv'}\n",
             tmp_path,
             capsys,
@@ -182,7 +183,7 @@ class TestSubcommands:
     def test_solve_waxman(self, capsys, tmp_path):
         cfgfile = tmp_path / "pt.cfg"
         cfgfile.write_text(
-            "potential=poschl_teller\nsolver=waxman\nepsilon=1.0\nn_points=601\n"
+            "potential=poschl_teller\nepsilon=1.0\nn_points=601\n"
         )
         code = main(["solve-waxman", "--config", str(cfgfile)])
         out = capsys.readouterr().out
@@ -190,19 +191,6 @@ class TestSubcommands:
         lam = float(next(l for l in out.splitlines() if l.startswith("lambda=")).split("=")[1])
         assert lam == pytest.approx(2.0, abs=2e-3)
         assert "converged=true" in out
-
-    def test_config_without_solver_runs(self, capsys, tmp_path):
-        # The subcommand names the solver, so a config file need not; the
-        # header still prints it and feeds back through --config unchanged.
-        cfgfile = tmp_path / "pt.cfg"
-        cfgfile.write_text("potential=poschl_teller\nepsilon=1.0\nn_points=601\n")
-        assert main(["solve-waxman", "--config", str(cfgfile)]) == 0
-        out = capsys.readouterr().out
-        assert "# solver=waxman\n" in out
-        header = [line[2:] for line in out.splitlines() if line.startswith("# ")]
-        cfgfile.write_text("\n".join(header) + "\n")
-        assert main(["solve-waxman", "--config", str(cfgfile)]) == 0
-        assert capsys.readouterr().out == out
 
     def test_flags_complete_a_config_file(self, capsys, tmp_path):
         # Required keys are checked after the flags are merged in, so a file
@@ -215,19 +203,10 @@ class TestSubcommands:
         assert "# potential=gaussian\n" in out
         assert "converged=true" in out
 
-    def test_config_solver_must_match_the_command(self, capsys, tmp_path):
-        # A file naming another solver is rejected, not silently overridden.
-        cfgfile = tmp_path / "lz.cfg"
-        cfgfile.write_text("potential=poschl_teller\nsolver=lanczos\nepsilon=1.0\n")
-        assert main(["solve-waxman", "--config", str(cfgfile)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "solver=lanczos does not match this command" in captured.err
-
     def test_solve_waxman_nonconvergence_exits_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "slow.cfg"
         cfgfile.write_text(
-            "potential=gaussian\nsolver=waxman\nepsilon=0.5\nmax_iter=2\nn_points=601\n"
+            "potential=gaussian\nepsilon=0.5\nmax_iter=2\nn_points=601\n"
         )
         assert main(["solve-waxman", "--config", str(cfgfile)]) == 2
 
@@ -235,7 +214,7 @@ class TestSubcommands:
         out_csv = tmp_path / "sweep.csv"
         cfgfile = tmp_path / "sweep.cfg"
         cfgfile.write_text(
-            "potential=gaussian\nsolver=waxman\nepsilons=0.3,0.5\nn_points=601\n"
+            "potential=gaussian\nepsilons=0.3,0.5\nn_points=601\n"
             f"output={out_csv}\n"
         )
         assert main(["sweep", "--config", str(cfgfile)]) == 0
@@ -249,7 +228,7 @@ class TestSubcommands:
             out_csv = tmp_path / name
             cfgfile = tmp_path / f"{name}.cfg"
             cfgfile.write_text(
-                "potential=gaussian\nsolver=waxman\nepsilons=0.3,0.5\nn_points=601\n"
+                "potential=gaussian\nepsilons=0.3,0.5\nn_points=601\n"
                 f"output={out_csv}\n"
             )
             assert main(["sweep", "--config", str(cfgfile)]) == 0
@@ -259,7 +238,7 @@ class TestSubcommands:
     def test_invert_no_solution_exits_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "odd.cfg"
         cfgfile.write_text(
-            "potential=gaussian\nsolver=waxman\nsector=odd\n"
+            "potential=gaussian\nsector=odd\n"
             "epsilons=0.05,0.1,0.2,0.4\nn_points=601\n"
         )
         code = main(["invert", "--config", str(cfgfile), "--lambda", "1.0"])
@@ -270,7 +249,7 @@ class TestSubcommands:
     def test_invert_ground_state(self, capsys, tmp_path):
         cfgfile = tmp_path / "full.cfg"
         cfgfile.write_text(
-            "potential=poschl_teller\nsolver=waxman\n"
+            "potential=poschl_teller\n"
             "epsilons=0.6,0.8,1.0,1.2,1.4\nn_points=1201\n"
         )
         code = main(["invert", "--config", str(cfgfile), "--lambda", "2.0"])
@@ -403,7 +382,7 @@ class TestExitCodes:
 
     def test_config_error_is_1(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("potential=gaussian\nsolver=waxman\nn_points=2400\n")
+        cfgfile.write_text("potential=gaussian\nn_points=2400\n")
         assert main(["solve-waxman", "--config", str(cfgfile), "--epsilon", "0.5"]) == 1
 
     @pytest.mark.parametrize(
@@ -688,28 +667,141 @@ def test_header_never_names_an_ignored_key(command, case, capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [cfgfile]
 
 
-CONFIG_FLAGS = {
-    "-h",
-    "--help",
-    "--config",
-    "--potential",
-    "--well-half-width",
-    "--half-width",
-    "--n-points",
-    "--epsilon",
-    "--epsilons",
-    "--epsilon-tail",
-    "--sector",
-    "--tol",
-    "--max-iter",
-    "--lambda",
-    "-m",
-    "--parity",
-    "--method",
-    "--output",
+@pytest.mark.parametrize("command", list(HEADER_RUNS))
+def test_handler_reads_exactly_its_keys(command, capsys, tmp_path, monkeypatch):
+    # A command's key set decides its flags, config keys and header lines, so
+    # its handler must read every key of it, and the header may name only
+    # keys it read.  oracle runs its shooting method, the one that reads
+    # half_width.
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, name):
+            read.add(name)
+            return super().__getitem__(name)
+
+    entry = _COMMANDS[command]
+    recorded = lambda cfg, stream: entry.run(Recording(cfg), stream)
+    monkeypatch.setitem(_COMMANDS, command, dataclasses.replace(entry, run=recorded))
+    argv = HEADER_RUNS[command].replace("analytic", "shooting").format(tmp=tmp_path)
+    assert main([command, *argv.split()]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = {line[2:].split("=")[0] for line in lines if line.startswith("# ")}
+    assert read == set(entry.keys)
+    assert header <= read
+
+
+# A valid value for every key some subcommand does not read.
+UNREAD_VALUES = {
+    "n_points": "161", "epsilon": "0.5", "epsilons": "0.1,0.2",
+    "epsilon_tail": "0.01,0.005", "sector": "odd", "tol": "1e-8", "max_iter": "10",
+    "lambda": "1", "m": "7", "parity": "odd", "method": "shooting",
+    "output": "{tmp}/out.csv",
 }
-FLAGS = {name: CONFIG_FLAGS for name in HEADER_RUNS}
-FLAGS["reproduce-paper"] = {"-h", "--help", "--output-dir"}
+UNREAD_KEYS = [
+    (command, key)
+    for command in HEADER_RUNS
+    for key in _KEYS
+    if key.name not in _COMMANDS[command].keys
+]
+
+
+@pytest.mark.parametrize(
+    "command,key", UNREAD_KEYS, ids=[f"{c}-{k.name}" for c, k in UNREAD_KEYS]
+)
+def test_unread_key_is_1(command, key, capsys, tmp_path):
+    # A key the handler would not read is refused, flag or config line alike,
+    # before anything is solved or written: no header names it.
+    argv = [command, *HEADER_RUNS[command].format(tmp=tmp_path).split()]
+    value = UNREAD_VALUES[key.name].format(tmp=tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, key.flag, value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {key.flag} {value}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+    cfgfile = tmp_path / "unread.cfg"
+    cfgfile.write_text(f"# not read by {command}\n{key.name}={value}\n")
+    assert main([*argv, "--config", str(cfgfile)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: line 2: unknown key '{key.name}'\n"
+    )
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve-lanczos --potential gaussian --n-points 161 --epsilon 0.5 --tol 3 "
+        "--parity odd",
+        "oracle --potential gaussian --epsilons 0.1,0.2 --n-points 5",
+    ],
+    ids=["solve-lanczos", "oracle"],
+)
+def test_other_solvers_keys_are_1(argv, capsys):
+    # Both runs once printed these keys in their headers and then ignored them.
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " in captured.err
+
+
+@pytest.mark.parametrize("source", list(HEADER_RUNS))
+def test_each_command_refuses_every_other_header(source, capsys, tmp_path):
+    # A header names only keys its own command reads, so any other command
+    # refuses it as a config file at the first line it would not read.
+    assert main([source, *HEADER_RUNS[source].format(tmp=tmp_path).split()]) == 0
+    out = capsys.readouterr().out
+    header = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+    cfgfile = tmp_path / "header.cfg"
+    cfgfile.write_text("\n".join(header) + "\n")
+    names = [line.split("=")[0] for line in header]
+    for target in HEADER_RUNS:
+        if target == source:
+            continue
+        line_no, name = next(
+            (i, name) for i, name in enumerate(names, start=1)
+            if name not in _COMMANDS[target].keys
+        )
+        assert main([target, "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: line {line_no}: unknown key '{name}'\n"
+        ), target
+
+
+# Each config subcommand's flags: --config and those of the keys it reads.
+FLAGS = {
+    "solve-waxman": {
+        "-h", "--help", "--config", "--potential", "--well-half-width", "--half-width",
+        "--n-points", "--sector", "--tol", "--max-iter", "--epsilon",
+    },
+    "sweep": {
+        "-h", "--help", "--config", "--potential", "--well-half-width", "--half-width",
+        "--n-points", "--sector", "--tol", "--max-iter", "--epsilons", "--output",
+    },
+    "invert": {
+        "-h", "--help", "--config", "--potential", "--well-half-width", "--half-width",
+        "--n-points", "--sector", "--tol", "--max-iter", "--epsilons", "--lambda",
+    },
+    "threshold": {
+        "-h", "--help", "--config", "--potential", "--well-half-width", "--half-width",
+        "--n-points", "--sector", "--tol", "--max-iter", "--epsilon-tail",
+    },
+    "solve-lanczos": {
+        "-h", "--help", "--config", "--potential", "--well-half-width", "--half-width",
+        "--n-points", "--lambda", "-m", "--output",
+    },
+    "oracle": {
+        "-h", "--help", "--config", "--potential", "--well-half-width", "--half-width",
+        "--lambda", "--parity", "--method",
+    },
+    "reproduce-paper": {"-h", "--help", "--output-dir"},
+}
 
 
 @pytest.mark.parametrize("command", list(FLAGS))
@@ -725,8 +817,8 @@ def test_knob_set_is_pinned():
     # the fields of both solver configs: a new knob must edit this list.
     assert [key.name for key in _KEYS] == [
         "potential", "well_half_width", "table_values", "half_width", "n_points",
-        "solver", "epsilon", "epsilons", "epsilon_tail", "sector", "tol",
-        "max_iter", "lambda", "m", "parity", "method", "output",
+        "epsilon", "epsilons", "epsilon_tail", "sector", "tol", "max_iter",
+        "lambda", "m", "parity", "method", "output",
     ]
     fields = {
         cls: [f.name for f in dataclasses.fields(cls)]
