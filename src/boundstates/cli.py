@@ -484,7 +484,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     repro = subs.add_parser("reproduce-paper")
     repro.add_argument("--output-dir", default=".", dest="output_dir")
 
-    args = parser.parse_args(argv)
+    # A flag the subcommand does not take is reported with its own usage.
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        subs.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "reproduce-paper":
             return 0 if run_reproduce_paper(args.output_dir, sys.stdout) else 2

@@ -32,6 +32,9 @@ _DENOMINATOR_FLOOR = 1e-14
 _GRID_MISMATCH = "potential and state must share a grid"
 # Tail points (the ones nearest zero) in the threshold's square-root fit.
 _FIT_POINTS = 4
+# Largest s |x - a| of a scan weight exp(+-s (x - a)): exp(600) leaves a factor
+# exp(109) below the float maximum (exp(709.78)) for the running sums.
+_MAX_EXPONENT = 600.0
 
 
 def _check_sector(sector: str) -> None:
@@ -62,8 +65,11 @@ class _KernelScan:
     Splitting the convolution at the evaluation node leaves two smooth
     half-integrals, so exponential prefix sums reproduce the trapezoid
     quadrature of the kinked integrand exactly, without the dense matrix.
-    The weights exp(+-sqrt(eps) x) must fit in a float over the whole box;
-    built inside ``_scan``, an overflowing weight raises ``SolverError``.
+    The weights exp(+-s (x - a)), s = sqrt(eps), are anchored at a = 0 while
+    s * half_width <= _MAX_EXPONENT; past that, at the node nearest the origin
+    of each block of at most _MAX_EXPONENT / (s h) steps, and the running
+    integrals cross each join times exp(-s |a - a'|).  Built inside ``_scan``,
+    an overflowing weight or sum raises ``SolverError``.
     It holds the weights and the two running integrals, allocated once; an
     apply needs no other scratch, and its output may overwrite its input.
 
@@ -79,6 +85,18 @@ class _KernelScan:
         self.parity = -1.0 if sector == "odd" else 1.0 if even else 0.0
         self.start = grid.mid_index if self.parity else 0
         x = grid.points[self.start :]
+        self._joins = ()  # (k, exp(-s (a_k - a_{k-1}))) at each block's first node k
+        steps = int(_MAX_EXPONENT / (self.s * grid.spacing))
+        if steps < grid.mid_index:
+            origin = grid.mid_index - self.start
+            a = np.arange(-origin, x.size - origin)
+            a -= np.fmod(a, steps + 1)  # each node's anchor, in steps from 0
+            a = x[a + origin]
+            self._joins = tuple(
+                (int(k), math.exp(-self.s * (a[k] - a[k - 1])))
+                for k in np.flatnonzero(a[1:] != a[:-1]) + 1
+            )
+            x = np.subtract(x, a, out=a)
         self.grow = np.exp(self.s * x)
         # make_grid is exactly antisymmetric and (-s)*x == s*(-x), so on the
         # full box the mirror of exp(s x) is exp(-s x) bit for bit.
@@ -90,26 +108,38 @@ class _KernelScan:
         """Kernel image of ``f`` in ``out`` (may be f), both on x >= 0 with a parity."""
         left, right = self._left, self._right
         # Trapezoid pair sums of grow*f (product in ``right``), summed below.
+        # A pair across a join is weighted in the frame of its right node.
         np.multiply(self.grow, f, out=right)
         np.add(right[1:], right[:-1], out=left[1:])
+        for k, c in self._joins:
+            left[k] = right[k] + c * right[k - 1]
         left[1:] *= self._half_h
         # Integral of decay*f from the right edge, in ``out``: f is read no more.
         np.multiply(self.decay, f, out=right)
         np.add(right[1:], right[:-1], out=out[:-1])
         out[-1] = 0.0
         out[:-1] *= self._half_h
-        np.add.accumulate(out[-2::-1], out=out[-2::-1])
-        # Integral of grow*f from the left edge.  On even input its part over
-        # x < 0 is the right integral from 0, summed in the same order; the odd
-        # sector integrates the image kernel, for odd input the plain kernel.
-        if self.parity > 0:
-            left[0] = out[0]
-            np.add.accumulate(left, out=left)
+        if self._joins:
+            # A right pair across a join takes the frame of its left node; the
+            # left integral starts from the right one at x = 0 times the parity.
+            for k, c in self._joins:
+                out[k - 1] = self._half_h * (right[k - 1] + c * right[k])
+            _carried_sum(out[::-1], [(out.size - k, c) for k, c in self._joins[::-1]])
+            left[0] = self.parity * out[0]
+            _carried_sum(left, self._joins)
         else:
-            left[0] = 0.0
-            np.add.accumulate(left[1:], out=left[1:])
-            if self.parity:
-                left -= out[0]
+            np.add.accumulate(out[-2::-1], out=out[-2::-1])
+            # Integral of grow*f from the left edge.  On even input its part over
+            # x < 0 is the right integral from 0, summed in the same order; the
+            # odd sector integrates the image kernel, for odd input the plain kernel.
+            if self.parity > 0:
+                left[0] = out[0]
+                np.add.accumulate(left, out=left)
+            else:
+                left[0] = 0.0
+                np.add.accumulate(left[1:], out=left[1:])
+                if self.parity:
+                    left -= out[0]
         left *= self.decay
         out *= self.grow
         out += left
@@ -141,6 +171,16 @@ class _KernelScan:
         if self.start:
             np.multiply(out[: self.start : -1], self.parity, out=out[: self.start])
         return out
+
+
+def _carried_sum(a: np.ndarray, joins: Iterable[tuple[int, float]]) -> None:
+    """Running sum of ``a`` in place; at a join (k, c) the sum so far enters times c."""
+    lo = 0
+    for k, c in joins:
+        np.add.accumulate(a[lo:k], out=a[lo:k])
+        a[k] += c * a[k - 1]
+        lo = k
+    np.add.accumulate(a[lo:], out=a[lo:])
 
 
 @contextmanager

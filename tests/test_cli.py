@@ -306,6 +306,14 @@ def _epsilon(out: str) -> float:
     return float(next(l for l in out.splitlines() if l.startswith("epsilon=")).split("=")[1])
 
 
+def _flat_table(tmp_path, value, n_points):
+    """Path of a config file for a table well of ``n_points`` equal values."""
+    cfgfile = tmp_path / "flat.cfg"
+    values = ",".join([repr(value)] * n_points)
+    cfgfile.write_text(f"potential=table\nn_points={n_points}\ntable_values={values}\n")
+    return str(cfgfile)
+
+
 def _run_child(*argv):
     """Exit code, stdout and stderr of ``boundstates *argv`` in a fresh
     interpreter that turns every warning into an error."""
@@ -377,6 +385,18 @@ class TestExitCodes:
             main(["sweep", "--bogus-flag"])
         assert exc.value.code == 1
 
+    def test_unknown_flag_shows_the_subcommand_usage(self, capsys):
+        # sweep takes --epsilons, not --epsilon: its own usage says which.
+        argv = ["sweep", "--potential", "gaussian", "--epsilon", "0.5", "--output", "x.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: boundstates sweep ")
+        assert "--epsilons EPSILONS" in captured.err
+        assert captured.err.endswith("error: unrecognized arguments: --epsilon 0.5\n")
+
     def test_missing_potential_is_1(self, capsys):
         assert main(["solve-waxman", "--epsilon", "0.5"]) == 1
 
@@ -430,14 +450,14 @@ class TestExitCodes:
         assert "".join(lines[len(header) :]) == report
         assert captured.err == f"error: {error}\n"
 
-    def test_kernel_overflow_is_2(self, capsys, recwarn):
-        # exp(sqrt(200) * 60) = exp(848) is past the float range: the scan's
-        # float check turns the overflowing weight into a numerical failure.
-        argv = ["--potential", "gaussian", "--half-width", "60", "--epsilon", "200"]
+    def test_kernel_overflow_is_2(self, capsys, recwarn, tmp_path):
+        # On a flat 1e300 table well, grow*V*u = 1e300 * exp(2 * 12) passes the
+        # float maximum: the scan's float check turns it into a numerical failure.
+        argv = ["--config", _flat_table(tmp_path, 1e300, 5), "--epsilon", "4"]
         assert main(["solve-waxman", *argv]) == 2
         assert capsys.readouterr().err == (
-            "error: kernel scan overflow at epsilon=200 (full sector): "
-            "overflow encountered in exp\n"
+            "error: kernel scan overflow at epsilon=4 (full sector): "
+            "overflow encountered in multiply\n"
         )
         assert len(recwarn) == 0
 
@@ -452,18 +472,18 @@ class TestExitCodes:
         assert captured.err == ""
 
     def test_sweep_with_a_failed_point_exits_0(self, capsys, tmp_path):
-        # eps = 200 overflows the kernel weights on this box, so its row is a
-        # failure record; one converged point is enough for the sweep.
+        # On a flat 1e300 table well eps = 4 overflows the scan, so its row is
+        # a failure record; one converged point is enough for the sweep.
         out_csv = tmp_path / "sweep.csv"
-        argv = ["--potential", "gaussian", "--half-width", "60", "--n-points", "1201",
-                "--epsilons", "100,200", "--output", str(out_csv)]
+        argv = ["--config", _flat_table(tmp_path, 1e300, 161),
+                "--epsilons", "1,4", "--output", str(out_csv)]
         assert main(["sweep", *argv]) == 0
         captured = capsys.readouterr()
         assert captured.out.endswith("converged 1 of 2\n")
-        assert out_csv.read_text().splitlines()[2] == "200,nan,0,nan,false"
+        assert out_csv.read_text().splitlines()[2] == "4,nan,0,nan,false"
         # The failed point names itself and its error on stderr, one line.
         [warning] = captured.err.splitlines()
-        assert warning.startswith("warning: sweep point epsilon=200: ")
+        assert warning.startswith("warning: sweep point epsilon=4: ")
         assert "overflow" in warning
 
     def test_unreadable_config_file_is_1(self, capsys, tmp_path):
@@ -500,15 +520,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_kernel_sum_overflow_is_2(self):
-        # sqrt(3495) * 12 = 709.4 keeps the weights inside the float range, but
-        # the trapezoid pair sums overflow: a typed error and no warning, even
-        # under -W error.
-        argv = ["--potential", "square_well", "--well-half-width", "20",
-                "--half-width", "12", "--n-points", "2401", "--epsilon", "3495"]
+    def test_kernel_sum_overflow_is_2(self, tmp_path):
+        # On a flat 1e308 table well at eps 1e-6 every grow*V*u fits in a float,
+        # but the trapezoid pair sums overflow: a typed error and no warning,
+        # even under -W error.
+        argv = ["--config", _flat_table(tmp_path, 1e308, 161), "--epsilon", "1e-6"]
         code, out, err = _run_child("solve-waxman", *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: kernel scan overflow at epsilon=3495")
+        assert err == (
+            "error: kernel scan overflow at epsilon=1e-06 (full sector): "
+            "overflow encountered in add\n"
+        )
 
     def test_missing_required_value_is_1(self, capsys):
         # sweep without an epsilon list is a usage problem, not numerical

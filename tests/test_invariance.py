@@ -6,7 +6,9 @@ iterates, and mirroring an uneven well mirrors its solve.  Both maps act on
 every float of the scan exactly (powers of two, and a sign), so they hold bit
 for bit on the half-axis path (even well), the whole-line path (uneven well)
 and, since the scan's block layout depends only on sqrt(eps) * spacing, on
-the block-anchored path of a wide box.
+the block-anchored path of a wide box.  There a power of two is exact only
+down to the smallest normal float, so the scaled u is compared bit for bit
+above 1e-300; the mirrored solve keeps every bit.
 """
 
 import numpy as np
@@ -30,18 +32,29 @@ def _table(half_width, n_points, shift=0.0):
     return np.exp(-0.5 * (x - shift) ** 2)
 
 
+def _wide_sech2(shift):
+    """sech^2 on half_width 60, n = 12001: sqrt(150) * 60 = 735 needs blocks."""
+    x = make_grid(60.0, 12001).points
+    return 1.0 / np.cosh(x - shift) ** 2
+
+
 def _solve(values, half_width, epsilon):
     V = SampledFunction(make_grid(half_width, values.size), values)
     return waxman_fixed_point(WaxmanConfig(epsilon), V)
 
 
-def _assert_scaled(values, half_width, epsilon):
+def _assert_scaled(values, half_width, epsilon, floor=0.0):
+    """Scaled solve equal bit for bit; u only where |u| >= floor, and below
+    it within floor (a tail passing through subnormal floats rounds)."""
     base = _solve(values, half_width, epsilon)
     wide = _solve(values, 2.0 * half_width, epsilon / 4.0)
     assert base.converged and wide.converged
     assert wide.lam == base.lam / 4.0
     assert (wide.iterations, wide.residual) == (base.iterations, base.residual)
-    assert wide.u.values.tobytes() == base.u.values.tobytes()
+    u, v = base.u.values, wide.u.values
+    kept = np.abs(u) >= floor
+    assert v[kept].tobytes() == u[kept].tobytes()
+    assert np.all(np.abs(v - u)[~kept] < floor)
 
 
 @pytest.mark.parametrize("n_points", [161, 2401])
@@ -51,12 +64,22 @@ def test_scaling_maps_a_solve_exactly(epsilon, shift, n_points):
     _assert_scaled(_table(12.0, n_points, shift), 12.0, epsilon)
 
 
-@pytest.mark.parametrize("n_points", [161, 2401])
-@pytest.mark.parametrize("epsilon", ENERGIES)
-def test_mirroring_maps_a_solve_exactly(epsilon, n_points):
-    values = _table(12.0, n_points, 0.7)
-    res = _solve(values, 12.0, epsilon)
-    flipped = _solve(values[::-1].copy(), 12.0, epsilon)
+@pytest.mark.parametrize("shift", [0.0, 0.7], ids=["half-axis", "whole-line"])
+def test_scaling_maps_a_blocked_solve_exactly(shift):
+    # u falls to exp(-sqrt(150) * 60) ~ 1e-319 at the box edge: its tail and
+    # the sums over it pass through subnormal floats, where x2 scaling rounds.
+    _assert_scaled(_wide_sech2(shift), 60.0, 150.0, floor=1e-300)
+
+
+@pytest.mark.parametrize(
+    "values,half_width,epsilon",
+    [(_table(12.0, n, 0.7), 12.0, eps) for n in (161, 2401) for eps in ENERGIES]
+    + [(_wide_sech2(0.7), 60.0, 150.0)],
+    ids=[f"{n}-{eps}" for n in (161, 2401) for eps in ENERGIES] + ["blocks"],
+)
+def test_mirroring_maps_a_solve_exactly(values, half_width, epsilon):
+    res = _solve(values, half_width, epsilon)
+    flipped = _solve(values[::-1].copy(), half_width, epsilon)
     assert res.converged
     assert (flipped.lam, flipped.iterations) == (res.lam, res.iterations)
     assert flipped.u.values.tobytes() == res.u.values[::-1].tobytes()

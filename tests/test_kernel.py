@@ -58,30 +58,39 @@ class TestApplyKernel:
     def test_matches_dense_quadrature(self, sector, rng):
         # The prefix-sum application must agree with the explicitly assembled
         # kernel matrix to roundoff; the dense route is the brute-force oracle.
+        # At eps 1e4 and 4e4, s * half_width = 800 and 1600 are past exp's
+        # float range, so the scan anchors its weights per block, while each
+        # dense row weights exp(-s |x_i - x_j|) from its own node.  In the
+        # full sector even input also takes the half-axis scan, as a solve on
+        # an even well does.
         g = make_grid(8.0, 201)
         V = sample_potential(PotentialSpec.gaussian(), g)
-        u = SampledFunction(g, rng.normal(size=g.n_points))
-        eps = 0.7
-        s = np.sqrt(eps)
-        w_scan = apply_kernel(GreensKernel(eps, sector), V, u).values
+        x, mid = g.points, g.mid_index
+        xh = x if sector == "full" else x[mid:]
+        wts = np.full(xh.size, g.spacing)
+        wts[0] = wts[-1] = 0.5 * g.spacing
+        for eps in (0.7, 1e4, 4e4):
+            s = np.sqrt(eps)
 
-        def G(d):
-            return np.exp(-s * np.abs(d)) / (2.0 * s)
+            def G(d):
+                return np.exp(-s * np.abs(d)) / (2.0 * s)
 
-        f = V.values * u.values
-        x = g.points
-        if sector == "full":
-            wts = np.full(x.size, g.spacing)
-            wts[0] = wts[-1] = 0.5 * g.spacing
-            dense = G(x[:, None] - x[None, :]) @ (wts * f)
-        else:
-            mid = g.mid_index
-            xh = x[mid:]
-            wts = np.full(xh.size, g.spacing)
-            wts[0] = wts[-1] = 0.5 * g.spacing
-            K = G(x[:, None] - xh[None, :]) - G(x[:, None] + xh[None, :])
-            dense = K @ (wts * f[mid:])
-        np.testing.assert_allclose(w_scan, dense, atol=1e-13)
+            K = G(x[:, None] - xh[None, :])
+            if sector == "odd":
+                K -= G(x[:, None] + xh[None, :])
+            u = rng.normal(size=g.n_points)
+            kernel = GreensKernel(eps, sector)
+            images = [(u, apply_kernel(kernel, V, SampledFunction(g, u)))]
+            if sector == "full":
+                u_even = u + u[::-1]
+                scan = _KernelScan(g, eps, sector, even=True)
+                w = V.values * u_even
+                scan.apply(w[mid:], out=w[mid:])
+                images.append((u_even, SampledFunction(g, scan.mirror(w))))
+            for u_in, image in images:
+                dense = K @ (wts * (V.values * u_in)[-xh.size :])
+                tol = 1e-13 * min(1.0, np.abs(dense).max())
+                np.testing.assert_allclose(image.values, dense, rtol=0, atol=tol)
 
     def test_poschl_teller_identity(self, fine_grid, poschl_teller_fine):
         sech = SampledFunction(fine_grid, 1.0 / np.cosh(fine_grid.points))
@@ -276,13 +285,22 @@ class TestBufferedScan:
     @pytest.mark.parametrize("sector", ["full", "odd"])
     def test_decay_is_exp_minus_s_x(self, n_points, sector):
         # The reference apply reads scan.decay, so check the weight itself:
-        # in the full sector it is the mirror of grow, not a second exp.
+        # in the full sector it is the mirror of grow, not a second exp.  Past
+        # s * half_width = 600 it is exp(-s (x - a)), a the node nearest the
+        # origin of a block of at most 600 / (s h) steps (eps 3495 on half_width
+        # 12: s * 12 = 709.4).
         for half_width in (12.0, 7.3):
             g = make_grid(half_width, n_points)
             x = g.points if sector == "full" else g.points[g.mid_index :]
+            origin = x.size - g.mid_index - 1
+            d = np.arange(x.size) - origin  # steps from the origin
             for eps in (1e-3, 0.5, 1.0, 170.0, 3495.0):
                 scan = _KernelScan(g, eps, sector)
-                assert np.array_equal(scan.decay, np.exp(-scan.s * x))
+                block = int(600.0 / (scan.s * g.spacing)) + 1  # nodes per block
+                a = x[origin + d - np.sign(d) * (np.abs(d) % block)]
+                assert np.array_equal(scan.decay, np.exp(-scan.s * (x - a)))
+                assert bool(scan._joins) == (scan.s * half_width > 600.0)
+                assert scan.grow.max() <= math.exp(600.0)
 
     @pytest.mark.parametrize(
         "sector,solve_arrays,apply_arrays", [("full", 4.2, 4.2), ("odd", 4.2, 3.2)]
@@ -292,21 +310,24 @@ class TestBufferedScan:
         # the two running integrals on the half-axis, then the unfolded u;
         # apply_kernel holds V*u and the scan's arrays (whole-line in the full
         # sector, where grow read backwards is decay).  Counted in n-sized
-        # float arrays; numpy reports them to tracemalloc.
+        # float arrays; numpy reports them to tracemalloc.  At eps 3000
+        # (s * half_width = 657) the weights are anchored per block, which
+        # costs work arrays while the scan is built, not per apply.
         n = 50001
         g = make_grid(12.0, n)
         V = sample_potential(PotentialSpec.gaussian(), g)
         u = SampledFunction(g, np.ones(n))
-        peaks = []
-        for run in (
-            lambda: waxman_fixed_point(WaxmanConfig(epsilon=1.0, sector=sector), V),
-            lambda: apply_kernel(GreensKernel(1.0, sector), V, u),
-        ):
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n))
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= solve_arrays
-        assert peaks[1] <= apply_arrays
+        for epsilon in (1.0, 3000.0):
+            peaks = []
+            for run in (
+                lambda: waxman_fixed_point(WaxmanConfig(epsilon, sector=sector), V),
+                lambda: apply_kernel(GreensKernel(epsilon, sector), V, u),
+            ):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n))
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] <= solve_arrays
+            assert peaks[1] <= apply_arrays

@@ -261,30 +261,46 @@ class TestSweep:
             curve_from_results(points)
 
     def test_kernel_overflow_is_a_failed_point(self, recwarn):
-        # On half_width=60, exp(sqrt(eps) * 60) leaves the float range above
-        # eps ~ 140: that point fails with a typed error, its neighbour solves.
-        V = sample_potential(PotentialSpec.gaussian(), make_grid(60.0, 2401))
-        ok, overflow = sweep_results([1.0, 200.0], V)
+        # On a flat table well of 1e300, grow*V*u = 1e300 * exp(sqrt(eps) x)
+        # passes the float maximum at the box edge once sqrt(eps) * 12 > 18.9:
+        # that point fails with a typed error, its neighbour solves.
+        g = make_grid(12.0, 161)
+        V = SampledFunction(g, np.full(g.n_points, 1e300))
+        ok, overflow = sweep_results([1.0, 4.0], V)
         assert ok.result is not None and ok.result.converged
         assert overflow.result is None and "overflow" in overflow.error
         with pytest.raises(SolverError, match="overflow"):
-            waxman_fixed_point(WaxmanConfig(epsilon=200.0), V)
-        # sqrt(3495) * 12 = 709.4 keeps the weights exp(sqrt(eps) x) inside the
-        # float range (up to exp(709.78)), but the trapezoid pair sums of
-        # grow*u pass the float maximum.
-        W = sample_potential(PotentialSpec.square_well(20.0), make_grid(12.0, 2401))
-        (near,) = sweep_results([3495.0], W)
+            waxman_fixed_point(WaxmanConfig(epsilon=4.0), V)
+        # On a 1e308 well at eps 1e-6 each weight is below 1.02 and each
+        # grow*V*u fits in a float, but the trapezoid pair sums do not.
+        W = SampledFunction(g, np.full(g.n_points, 1e308))
+        (near,) = sweep_results([1e-6], W)
         assert near.result is None
-        assert "overflow" in near.error and "epsilon=3495" in near.error
+        assert "overflow encountered in add" in near.error
+        assert "epsilon=1e-06" in near.error
         assert len(recwarn) == 0
 
     @pytest.mark.parametrize("entry", ["apply_kernel", "waxman_step"])
     def test_one_shot_overflow_is_a_solver_error(self, entry, recwarn):
-        W = sample_potential(PotentialSpec.square_well(20.0), make_grid(12.0, 2401))
-        u = SampledFunction(W.grid, np.ones(W.grid.n_points))
-        with pytest.raises(SolverError, match="overflow at epsilon=3495"):
-            getattr(waxman, entry)(GreensKernel(3495.0), W, u)
+        # V*u = 1e300 * 1e10 is past the float maximum before the scan starts.
+        g = make_grid(12.0, 161)
+        W = SampledFunction(g, np.full(g.n_points, 1e300))
+        u = SampledFunction(g, np.full(g.n_points, 1e10))
+        with pytest.raises(SolverError, match="overflow at epsilon=0.5"):
+            getattr(waxman, entry)(GreensKernel(0.5), W, u)
         assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("epsilon", [150.0, 175.0, 200.0])
+    def test_wide_box_solves_match_the_sech2_level(self, epsilon):
+        # sqrt(eps) * 60 = 735-849 is past exp's float range (709.78), so the
+        # scan anchors its weights per block.  The sech^2 well binds at
+        # lambda = s (s + 1), s = sqrt(eps); the grid's second-order error
+        # stays inside 0.5 * lambda * (1 + eps) * h^2.
+        V = sample_potential(PotentialSpec.poschl_teller(), make_grid(60.0, 12001))
+        res = waxman_fixed_point(WaxmanConfig(epsilon), V)
+        s, h = math.sqrt(epsilon), V.grid.spacing
+        assert res.converged
+        assert abs(res.lam - s * (s + 1.0)) <= 0.5 * res.lam * (1.0 + epsilon) * h * h
 
     def test_csv_format_and_determinism(self, gaussian_fine):
         points = sweep_results([0.3, 0.5], gaussian_fine)
@@ -482,10 +498,13 @@ class TestThresholdTail:
             threshold_lambda(gaussian_fine, "odd", cli.THRESHOLD_TAIL, max_iter=1)
 
     def test_failed_point_carries_its_error(self, recwarn):
-        # exp(sqrt(eps) * 60) overflows for eps >= 140: the first tail point
+        # An all-zero well has no coupling at any energy: the first tail point
         # in tail order fails, and its recorded error is reported with it.
-        V = sample_potential(PotentialSpec.gaussian(), make_grid(60.0, 2401))
-        with pytest.raises(SolverError, match="epsilon=300: kernel scan overflow"):
+        g = make_grid(12.0, 161)
+        V = SampledFunction(g, np.zeros(g.n_points))
+        with pytest.raises(
+            SolverError, match="epsilon=300: no admissible coupling at epsilon=300"
+        ):
             threshold_lambda(V, "odd", [300.0, 200.0, 100.0])
         assert len(recwarn) == 0
 
