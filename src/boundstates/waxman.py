@@ -65,11 +65,13 @@ class _KernelScan:
     Splitting the convolution at the evaluation node leaves two smooth
     half-integrals, so exponential prefix sums reproduce the trapezoid
     quadrature of the kinked integrand exactly, without the dense matrix.
-    The weights exp(+-s (x - a)), s = sqrt(eps), are anchored at a = 0 while
-    s * half_width <= _MAX_EXPONENT; past that, at the node nearest the origin
-    of each block of at most _MAX_EXPONENT / (s h) steps, and the running
-    integrals cross each join times exp(-s |a - a'|).  Built inside ``_scan``,
-    an overflowing weight or sum raises ``SolverError``.
+    The weights exp(+-s (x - a)), s = sqrt(eps), are anchored at the node a
+    nearest the origin of each block of at most _MAX_EXPONENT / (s h) steps
+    (one block, a = 0, while s * half_width <= _MAX_EXPONENT).  Each running
+    integral sums its first block, then each later one from the sum so far
+    times exp(-s |a - a'|).  The odd sector's image term comes off the left
+    integral's first block, and the joins carry it on.  Built inside
+    ``_scan``, an overflowing weight or sum raises ``SolverError``.
     It holds the weights and the two running integrals, allocated once; an
     apply needs no other scratch, and its output may overwrite its input.
 
@@ -85,17 +87,19 @@ class _KernelScan:
         self.parity = -1.0 if sector == "odd" else 1.0 if even else 0.0
         self.start = grid.mid_index if self.parity else 0
         x = grid.points[self.start :]
-        self._joins = ()  # (k, exp(-s (a_k - a_{k-1}))) at each block's first node k
+        self._blocks = self._right_blocks = (slice(None), ())  # one block, no joins
         steps = int(_MAX_EXPONENT / (self.s * grid.spacing))
         if steps < grid.mid_index:
             origin = grid.mid_index - self.start
             a = np.arange(-origin, x.size - origin)
             a -= np.fmod(a, steps + 1)  # each node's anchor, in steps from 0
             a = x[a + origin]
-            self._joins = tuple(
+            joins = [
                 (int(k), math.exp(-self.s * (a[k] - a[k - 1])))
                 for k in np.flatnonzero(a[1:] != a[:-1]) + 1
-            )
+            ]
+            self._blocks = _block_table(joins)
+            self._right_blocks = _block_table([(x.size - k, c) for k, c in joins[::-1]])
             x = np.subtract(x, a, out=a)
         self.grow = np.exp(self.s * x)
         # make_grid is exactly antisymmetric and (-s)*x == s*(-x), so on the
@@ -110,36 +114,23 @@ class _KernelScan:
         # Trapezoid pair sums of grow*f (product in ``right``), summed below.
         # A pair across a join is weighted in the frame of its right node.
         np.multiply(self.grow, f, out=right)
-        np.add(right[1:], right[:-1], out=left[1:])
-        for k, c in self._joins:
+        pairs = np.add(right[1:], right[:-1], out=left[1:])
+        for k, _, c in self._blocks[1]:
             left[k] = right[k] + c * right[k - 1]
-        left[1:] *= self._half_h
+        pairs *= self._half_h
         # Integral of decay*f from the right edge, in ``out``: f is read no more.
+        # A pair across a join is weighted in the frame of its left node.
         np.multiply(self.decay, f, out=right)
-        np.add(right[1:], right[:-1], out=out[:-1])
-        out[-1] = 0.0
-        out[:-1] *= self._half_h
-        if self._joins:
-            # A right pair across a join takes the frame of its left node; the
-            # left integral starts from the right one at x = 0 times the parity.
-            for k, c in self._joins:
-                out[k - 1] = self._half_h * (right[k - 1] + c * right[k])
-            _carried_sum(out[::-1], [(out.size - k, c) for k, c in self._joins[::-1]])
-            left[0] = self.parity * out[0]
-            _carried_sum(left, self._joins)
-        else:
-            np.add.accumulate(out[-2::-1], out=out[-2::-1])
-            # Integral of grow*f from the left edge.  On even input its part over
-            # x < 0 is the right integral from 0, summed in the same order; the
-            # odd sector integrates the image kernel, for odd input the plain kernel.
-            if self.parity > 0:
-                left[0] = out[0]
-                np.add.accumulate(left, out=left)
-            else:
-                left[0] = 0.0
-                np.add.accumulate(left[1:], out=left[1:])
-                if self.parity:
-                    left -= out[0]
+        pairs = np.add(right[1:], right[:-1], out=out[:-1])
+        for k, _, c in self._blocks[1]:
+            out[k - 1] = right[k - 1] + c * right[k]
+        pairs *= self._half_h
+        out[-1] = -0.0  # IEEE's exact additive identity: every sum keeps its sign
+        _carried_sum(out[::-1], self._right_blocks)
+        # Integral of grow*f from the left edge; on even input its part over
+        # x < 0 is the right integral from 0, summed in the same order.
+        left[0] = out[0] if self.parity > 0 else -0.0
+        _carried_sum(left, self._blocks, out[0] if self.parity < 0 else None)
         left *= self.decay
         out *= self.grow
         out += left
@@ -173,14 +164,23 @@ class _KernelScan:
         return out
 
 
-def _carried_sum(a: np.ndarray, joins: Iterable[tuple[int, float]]) -> None:
-    """Running sum of ``a`` in place; at a join (k, c) the sum so far enters times c."""
-    lo = 0
-    for k, c in joins:
-        np.add.accumulate(a[lo:k], out=a[lo:k])
+def _block_table(joins: Sequence[tuple[int, float]]) -> tuple[slice, tuple]:
+    """A running sum's first block, then (first node k, block, carry c) for the rest."""
+    ends = [k for k, _ in joins] + [None]
+    later = tuple((k, slice(k, end), c) for (k, c), end in zip(joins, ends[1:]))
+    return slice(0, ends[0]), later
+
+
+def _carried_sum(a: np.ndarray, blocks: tuple[slice, tuple], image=None) -> None:
+    """Running sum of ``a`` in place: the first block, less ``image`` if given,
+    then each later block (k, block, c) from c times the sum before node k."""
+    head = a[blocks[0]]
+    np.add.accumulate(head, out=head)
+    if image is not None:
+        head -= image
+    for k, block, c in blocks[1]:
         a[k] += c * a[k - 1]
-        lo = k
-    np.add.accumulate(a[lo:], out=a[lo:])
+        np.add.accumulate(a[block], out=a[block])
 
 
 @contextmanager

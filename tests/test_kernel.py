@@ -60,16 +60,17 @@ class TestApplyKernel:
         # kernel matrix to roundoff; the dense route is the brute-force oracle.
         # At eps 1e4 and 4e4, s * half_width = 800 and 1600 are past exp's
         # float range, so the scan anchors its weights per block, while each
-        # dense row weights exp(-s |x_i - x_j|) from its own node.  In the
-        # full sector even input also takes the half-axis scan, as a solve on
-        # an even well does.
+        # dense row weights exp(-s |x_i - x_j|) from its own node.  At eps 3e7,
+        # 1e8 and 1e12, s * h passes 300 and 600: each block holds two nodes
+        # or one.  In the full sector even input also takes the half-axis
+        # scan, as a solve on an even well does.
         g = make_grid(8.0, 201)
         V = sample_potential(PotentialSpec.gaussian(), g)
         x, mid = g.points, g.mid_index
         xh = x if sector == "full" else x[mid:]
         wts = np.full(xh.size, g.spacing)
         wts[0] = wts[-1] = 0.5 * g.spacing
-        for eps in (0.7, 1e4, 4e4):
+        for eps in (0.7, 1e4, 4e4, 3e7, 1e8, 1e12):
             s = np.sqrt(eps)
 
             def G(d):
@@ -281,6 +282,31 @@ class TestBufferedScan:
         whole_line = well == "table" and sector == "full"
         assert starts == [0 if whole_line else g.mid_index] * len(cases)
 
+    @pytest.mark.parametrize("max_exponent", [50.0, 5.0])
+    @pytest.mark.parametrize("path", ["whole-line", "half-axis", "odd"])
+    def test_blocked_solve_matches_one_block(self, path, max_exponent, monkeypatch):
+        # A smaller exponent bound splits the standard box into 1 to 21 blocks
+        # (all blocked at bound 5).  Each scan path, the whole line (uneven
+        # table well), the even half-axis and the odd sector, must then
+        # follow its one-block solve to roundoff.
+        g = make_grid(12.0, 2401)
+        if path == "whole-line":
+            V = SampledFunction(g, np.exp(-0.5 * (g.points - 0.3) ** 2))
+        else:
+            V = sample_potential(PotentialSpec.gaussian(), g)
+        sector = "odd" if path == "odd" else "full"
+        for eps in (0.5, 2.0, 20.0):
+            cfg = WaxmanConfig(eps, sector=sector)
+            base = waxman_fixed_point(cfg, V)
+            with monkeypatch.context() as patch:
+                patch.setattr(waxman, "_MAX_EXPONENT", max_exponent)
+                blocked = waxman_fixed_point(cfg, V)
+                scan = _KernelScan(g, eps, sector, even=path == "half-axis")
+            assert bool(scan._blocks[1]) == (scan.s * 12.0 > max_exponent)
+            assert blocked.converged and blocked.iterations == base.iterations
+            assert abs(blocked.lam - base.lam) <= 1e-14 * base.lam
+            assert np.max(np.abs(blocked.u.values - base.u.values)) <= 1e-13
+
     @pytest.mark.parametrize("n_points", [161, 2401, 50001])
     @pytest.mark.parametrize("sector", ["full", "odd"])
     def test_decay_is_exp_minus_s_x(self, n_points, sector):
@@ -299,7 +325,7 @@ class TestBufferedScan:
                 block = int(600.0 / (scan.s * g.spacing)) + 1  # nodes per block
                 a = x[origin + d - np.sign(d) * (np.abs(d) % block)]
                 assert np.array_equal(scan.decay, np.exp(-scan.s * (x - a)))
-                assert bool(scan._joins) == (scan.s * half_width > 600.0)
+                assert bool(scan._blocks[1]) == (scan.s * half_width > 600.0)
                 assert scan.grow.max() <= math.exp(600.0)
 
     @pytest.mark.parametrize(

@@ -140,6 +140,37 @@ class TestFixedPoint:
             u = waxman_step(k, gaussian_fine, u)
             assert np.all(u.values > 0.0)
 
+    @pytest.mark.parametrize("sector", ["full", "odd"])
+    @pytest.mark.parametrize(
+        "well,epsilon,width",
+        [
+            ("gaussian", 0.05, 1e-9),
+            ("gaussian", 0.5, 1e-9),
+            ("wide_sech2", 150.0, 1e-7),
+        ],
+    )
+    def test_coupling_lies_in_its_collatz_wielandt_bracket(
+        self, well, epsilon, width, sector, gaussian_fine
+    ):
+        # The paper's claim, checked: u -> K(V u) is a positive map on the
+        # sector's nodes (x > 0 in the odd sector), so a positive u is its
+        # Perron vector and, for every node, min (Au)/u <= 1/lambda <= max
+        # (Au)/u.  The bound needs every node of the sector, not a subset.
+        # The wide box's full-sector u falls to 3.5e-316, so its ratios there
+        # carry subnormal roundoff: a bracket 1e-8 wide.
+        if well == "gaussian":
+            V = gaussian_fine
+        else:
+            V = sample_potential(PotentialSpec.poschl_teller(), make_grid(60.0, 12001))
+        res = waxman_fixed_point(WaxmanConfig(epsilon, sector=sector), V)
+        nodes = V.grid.points > 0.0 if sector == "odd" else slice(None)
+        u = res.u.values[nodes]
+        image = apply_kernel(GreensKernel(epsilon, sector), V, res.u).values[nodes]
+        assert res.converged and np.all(u > 0.0)
+        low, high = 1.0 / np.max(image / u), 1.0 / np.min(image / u)
+        assert low <= res.lam <= high
+        assert high - low <= width * res.lam
+
     def test_odd_sector_antisymmetric(self, fine_grid, gaussian_fine):
         res = waxman_fixed_point(
             WaxmanConfig(epsilon=0.3, sector="odd"), gaussian_fine
