@@ -169,8 +169,8 @@ def lanczos_run(H: Hamiltonian, phi1: SampledFunction, m: int) -> LanczosRun:
 
 def tridiagonal_eigen(
     alphas: Sequence[float], betas: Sequence[float]
-) -> list[tuple[float, np.ndarray]]:
-    """All eigenpairs, ascending, bit-identical to scipy's ``eigh_tridiagonal``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending values and unit eigenvector columns, bit-identical to scipy's."""
     d = np.asarray(alphas, dtype=float)
     e = np.asarray(betas, dtype=float)
     if d.ndim != 1 or d.size == 0:
@@ -179,8 +179,7 @@ def tridiagonal_eigen(
         raise ValueError("off-diagonal length must be len(alphas) - 1")
     # LAPACK syevd reduces a tridiagonal matrix by the identity, then runs the
     # same stedc as the stevd behind eigh_tridiagonal.
-    vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    return [(float(vals[i]), vecs[:, i].copy()) for i in range(vals.size)]
+    return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
 @dataclass
@@ -210,29 +209,29 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
     the Ritz vectors pass through one block of ``_BLOCK_ROWS`` rows.
     """
     # One basis stack and one block each of psi, H psi and H^2 psi serve
-    # every prefix scored.
-    grid = H.grid
+    # every prefix scored.  Block rows are 1 x n, so each product below is a
+    # stack of one BLAS gemv or ddot per Ritz vector, as for a lone vector.
+    h = H.grid.spacing
     Q = np.stack([b.values for b in run.basis])
     rows = min(_BLOCK_ROWS, run.m)
-    psi, hpsi, hhpsi = np.empty((3, rows, grid.n_points))
+    psi, hpsi, hhpsi = np.empty((3, rows, 1, H.grid.n_points))
     history = []
     for k in range(1, run.m + 1):
-        eigen = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
+        values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
+        # C-contiguous rows: a strided view of the columns, or one gemm over
+        # the block, moves the last bits of delta.
+        Z = np.ascontiguousarray(vectors.T)[:, None, :]
         pairs = []
         for start in range(0, k, rows):
-            chunk = eigen[start : start + rows]
-            b = len(chunk)
-            for (_, z), row in zip(chunk, psi):
-                # One product per vector: a batched Z.T @ Q moves the last bits of delta.
-                np.matmul(z, Q[:k], out=row)
-                row /= _norm(grid, row)
+            v = values[start : start + rows]
+            p, hp, hhp = psi[: v.size], hpsi[: v.size], hhpsi[: v.size]
+            np.matmul(Z[start : start + rows], Q[:k], out=p)
+            p /= np.sqrt(h * (p @ p.transpose(0, 2, 1)))
             # H psi is the second apply's input and its scratch: it is not read again.
-            _apply_values(H, psi[:b], hpsi[:b], hhpsi[:b])
-            _apply_values(H, hpsi[:b], hhpsi[:b], hpsi[:b])
-            pairs += [
-                RitzPair(value, abs(value * value - _dot(grid, row, hhrow)))
-                for (value, _), row, hhrow in zip(chunk, psi, hhpsi)
-            ]
+            _apply_values(H, p, hp, hhp)
+            _apply_values(H, hp, hhp, hp)
+            deltas = np.abs(v * v - h * (p @ hhp.transpose(0, 2, 1)).ravel())
+            pairs += map(RitzPair, v.tolist(), deltas.tolist())
         history.append(pairs)
     return history
 

@@ -314,10 +314,11 @@ def _flat_table(tmp_path, value, n_points):
     return str(cfgfile)
 
 
-def _run_child(*argv):
+def _run_child(*argv, **env_vars):
     """Exit code, stdout and stderr of ``boundstates *argv`` in a fresh
-    interpreter that turns every warning into an error."""
-    env = dict(os.environ)
+    interpreter that turns every warning into an error, with ``env_vars``
+    added to its environment."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(boundstates.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -933,6 +934,20 @@ def test_reproduce_paper_output_is_pinned(tmp_path):
     stream = io.StringIO()
     assert run_reproduce_paper(tmp_path, stream) is False
     assert stream.getvalue() == REPRODUCE_PAPER_STDOUT
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in REPRODUCE_PAPER_CSV_SHA256
+    }
+    assert digests == REPRODUCE_PAPER_CSV_SHA256
+
+
+def test_reproduce_paper_output_is_pinned_on_one_blas_thread(tmp_path):
+    # The benchmark runs its children on one BLAS thread; the bytes must hold
+    # there too, not only under the default threading of this process.
+    one = {f"{lib}_NUM_THREADS": "1" for lib in ("OPENBLAS", "OMP", "MKL")}
+    code, out, _ = _run_child("reproduce-paper", "--output-dir", str(tmp_path), **one)
+    assert code == 2
+    assert out == REPRODUCE_PAPER_STDOUT
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in REPRODUCE_PAPER_CSV_SHA256

@@ -10,18 +10,31 @@ the block-anchored path of a wide box.  There a power of two is exact only
 down to the smallest normal float, so the scaled u is compared bit for bit
 above 1e-300; the mirrored solve keeps every bit.  The odd sector's reference
 node is the node nearest x = 1 on both grids, not the scaled node, so its
-scale map holds to roundoff of the iteration, not bit for bit.
+scale map holds to roundoff of the iteration, not bit for bit.  The same map
+carries a shooting solve (a, half_width and step doubled, lam quartered) and
+the grid Hamiltonian (H -> H/4), but not exactly: shooting starts its bracket
+at a fixed energy and stops at an absolute tolerance, and the Lanczos start
+vector /sqrt(2) rounds.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from boundstates import (
     GreensKernel,
+    Hamiltonian,
+    PotentialSpec,
     SampledFunction,
+    ShootingConfig,
     WaxmanConfig,
     apply_kernel,
+    hamiltonian_apply,
+    lanczos_run,
     make_grid,
+    shooting_eigenvalue,
+    start_vector,
     waxman_fixed_point,
 )
 
@@ -113,3 +126,30 @@ def test_scaling_maps_a_kernel_image_exactly(epsilon, sector, rng):
         kernel = GreensKernel(eps, sector)
         images.append(apply_kernel(kernel, SampledFunction(g, values), SampledFunction(g, u)))
     assert images[1].values.tobytes() == (4.0 * images[0].values).tobytes()
+
+
+@pytest.mark.parametrize("lam,parity", [(1.0, "even"), (2.0, "even"), (10.0, "odd")])
+def test_scaling_maps_a_shooting_solve(lam, parity):
+    base = shooting_eigenvalue(ShootingConfig(lam, parity), PotentialSpec.square_well(1.0))
+    wide = shooting_eigenvalue(
+        ShootingConfig(lam / 4.0, parity, half_width=24.0, step=4e-3),
+        PotentialSpec.square_well(2.0),
+    )
+    assert abs(wide - base / 4.0) <= 1e-12 * base / 4.0
+
+
+def test_scaling_maps_the_first_lanczos_steps():
+    # Roundoff steers the (161, 18) run from about step 10, and the start
+    # vector /sqrt(2) rounds, so only the first 6 alphas are compared.
+    values = _table(12.0, 161)
+    phi = start_vector(make_grid(12.0, values.size)).values
+    runs, images = [], []
+    for half_width, lam, start in ((12.0, 1.0, phi), (24.0, 0.25, phi / math.sqrt(2.0))):
+        g = make_grid(half_width, values.size)
+        H = Hamiltonian(SampledFunction(g, values), lam)
+        images.append(hamiltonian_apply(H, SampledFunction(g, phi)).values)
+        runs.append(lanczos_run(H, SampledFunction(g, start), 6))
+    assert images[1].tobytes() == (images[0] / 4.0).tobytes()
+    np.testing.assert_allclose(
+        4.0 * np.array(runs[1].alphas), runs[0].alphas, rtol=1e-10, atol=0
+    )

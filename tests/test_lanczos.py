@@ -64,6 +64,18 @@ def _ground_eigvec(H):
     return float(vals[0]), SampledFunction(g, v)
 
 
+def _ulp_ensemble(phi, members=20, seed=20240817):
+    """``phi`` and ``members`` copies of it with each node times 1 + or - 2^-52
+    in a seeded sign pattern, each renormalized."""
+    rng = np.random.default_rng(seed)
+    g = phi.grid
+    ensemble = [phi]
+    for _ in range(members):
+        v = phi.values * (1.0 + rng.choice([-1.0, 1.0], size=g.n_points) * 2.0**-52)
+        ensemble.append(SampledFunction(g, v / np.sqrt(_h_dot(g, v, v))))
+    return ensemble
+
+
 def _brute_force_labels(history):
     # Track threading by brute force: every open track against every pair of
     # the next row, O(k^2) per row, by the rules of ``classify_pairs``.
@@ -223,13 +235,13 @@ class TestTridiagonalEigen:
         assert tridiagonal_eigen([3.5], [])[0][0] == 3.5
 
     def test_two_by_two(self):
-        vals = [v for v, _ in tridiagonal_eigen([0.0, 0.0], [1.0])]
+        vals, _ = tridiagonal_eigen([0.0, 0.0], [1.0])
         np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-14)
 
     def test_matches_jacobi_oracle(self, rng):
         d = rng.normal(size=18)
         e = rng.normal(size=17)
-        ours = np.array([v for v, _ in tridiagonal_eigen(d, e)])
+        ours, _ = tridiagonal_eigen(d, e)
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         np.testing.assert_allclose(ours, jacobi_eigenvalues(T), atol=1e-10)
 
@@ -238,14 +250,15 @@ class TestTridiagonalEigen:
         e = rng.normal(size=17)
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         norm = np.linalg.norm(T)
-        for value, z in tridiagonal_eigen(d, e):
+        vals, vecs = tridiagonal_eigen(d, e)
+        for value, z in zip(vals, vecs.T, strict=True):
             assert np.linalg.norm(T @ z - value * z) <= 1e-10 * norm
 
     def test_ascending(self, rng):
         d = rng.normal(size=10)
         e = rng.normal(size=9)
-        vals = [v for v, _ in tridiagonal_eigen(d, e)]
-        assert vals == sorted(vals)
+        vals, _ = tridiagonal_eigen(d, e)
+        assert np.all(np.diff(vals) >= 0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -266,15 +279,14 @@ class TestTridiagonalEigen:
         for k in range(1, m + 1):
             d, e = np.array(run.alphas[:k]), np.array(run.betas[: k - 1])
             vals, vecs = eigh_tridiagonal(d, e)
-            ours = tridiagonal_eigen(d, e)
-            assert np.array_equal([v for v, _ in ours], vals), f"eigenvalues, m={k}"
-            for i, (_, z) in enumerate(ours):
-                assert np.array_equal(z, vecs[:, i]), f"eigenvector {i}, m={k}"
+            ours_vals, ours_vecs = tridiagonal_eigen(d, e)
+            assert np.array_equal(ours_vals, vals), f"eigenvalues, m={k}"
+            assert np.array_equal(ours_vecs, vecs), f"eigenvectors, m={k}"
 
     def test_scalar_bit_identical_to_scipy(self):
         vals, vecs = eigh_tridiagonal(np.array([3.5]), np.array([]))
-        [(value, z)] = tridiagonal_eigen([3.5], [])
-        assert value == vals[0] and np.array_equal(z, vecs[:, 0])
+        [value], z = tridiagonal_eigen([3.5], [])
+        assert value == vals[0] and np.array_equal(z, vecs)
 
 
 class TestRitzPairs:
@@ -286,8 +298,8 @@ class TestRitzPairs:
         assert values == sorted(values)
         # The pairs keep no vectors: rebuild each from the run and re-gauge it.
         Q = np.stack([b.values for b in run.basis])
-        eigen = tridiagonal_eigen(run.alphas, run.betas)
-        for p, (value, z) in zip(pairs, eigen, strict=True):
+        vals, vecs = tridiagonal_eigen(run.alphas, run.betas)
+        for p, value, z in zip(pairs, vals, vecs.T.copy(), strict=True):
             psi = z @ Q
             psi /= np.sqrt(_h_dot(g, psi, psi))
             assert abs(_h_dot(g, psi, psi) - 1.0) <= 1e-8
@@ -311,6 +323,54 @@ class TestRitzPairs:
         assert pairs[0].value == pytest.approx(REPORTED_LANCZOS_GROUND, abs=5e-3)
         assert any(p.value > 0 for p in pairs)
 
+
+    def test_comparison_run_holds_across_a_one_ulp_ensemble(self):
+        # From about step 10 roundoff steers the (161, 18) run: a 1-ulp change
+        # of the start vector moves the late alphas by up to 50% and can leave
+        # the ground pair undecided, so the label is not asserted.  What the
+        # report's two Lanczos rows read holds in every member.
+        g = make_grid(12.0, COMPARISON_N)
+        H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+        grounds, alphas = [], []
+        for phi in _ulp_ensemble(start_vector(g)):
+            run = lanczos_run(H, phi, 18)
+            labelled = classify_pairs(ritz_history(run, H))
+            ground = min((p for p, _ in labelled), key=lambda p: p.value)
+            spurious = [
+                p.delta for p, lab in labelled if lab == "spurious" and p.value > 0
+            ]
+            assert spurious and min(spurious) / ground.delta >= 10.0
+            grounds.append(ground.value)
+            alphas.append(run.alphas[:6])
+        assert len(grounds) == 21
+        assert np.max(np.abs(np.array(grounds) - REPORTED_LANCZOS_GROUND)) <= 5e-3
+        assert np.ptp(grounds) < 5e-5
+        np.testing.assert_allclose(alphas, [alphas[0]] * 21, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize(
+        "kind, n, m",
+        [
+            ("gaussian", COMPARISON_N, 18),
+            ("gaussian", 641, 50),
+            ("poschl_teller", 641, 50),
+        ],
+    )
+    def test_gauge_equals_paige_residual(self, kind, n, m):
+        # With full reorthogonalization H Q_k = Q_k T_k + beta_k q_k+1 e_k^T,
+        # so a Ritz pair's ||(H - theta) psi||^2 is (beta_k z_k)^2, z_k the last
+        # entry of its eigenvector (Paige, Linear Algebra Appl. 34, 235, 1980),
+        # up to roundoff of order u ||H||^2.
+        g = make_grid(12.0, n)
+        H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
+        run = lanczos_run(H, start_vector(g), m)
+        assert run.m == m
+        norm = 4.0 / g.spacing**2 + np.max(np.abs(H.lam_v))
+        history = ritz_history(run, H)
+        for k in range(1, m):
+            _, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
+            paige = (run.betas[k - 1] * vectors[k - 1]) ** 2
+            gap = np.abs(np.array([p.delta for p in history[k - 1]]) - paige)
+            assert np.max(gap) <= 16 * 2.0**-52 * norm**2, f"prefix {k}"
 
     @pytest.mark.parametrize("kind", ["gaussian", "poschl_teller"])
     def test_history_rows_equal_shorter_runs(self, kind):
@@ -339,7 +399,9 @@ class TestRitzPairs:
         Q = np.stack([b.values for b in run.basis])
         for k, row in enumerate(ritz_history(run, H), 1):
             reference = []
-            for value, z in tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1]):
+            values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
+            # Each z a contiguous copy, as a lone vector is: a strided z moves bits.
+            for value, z in zip(values, vectors.T.copy()):
                 psi = z @ Q[:k]
                 psi /= np.sqrt(_h_dot(g, psi, psi))
                 state = SampledFunction(g, psi)
@@ -521,7 +583,7 @@ class TestSpectralProperties:
         start /= np.sqrt(_h_dot(g, start, start))
         run = lanczos_run(H, SampledFunction(g, start), g.n_points)
         assert run.m == g.n_points
-        ritz = np.sort([v for v, _ in tridiagonal_eigen(run.alphas, run.betas)])
+        ritz, _ = tridiagonal_eigen(run.alphas, run.betas)
         dense = jacobi_eigenvalues(_dense_matrix(H))
         np.testing.assert_allclose(ritz, dense, atol=1e-8)
 
