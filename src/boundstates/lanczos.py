@@ -61,15 +61,11 @@ class Hamiltonian:
         return self.V.grid
 
 
-def _dot(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
+def _dot(h: float, f: np.ndarray, g: np.ndarray) -> float:
     # Uniform-weight discrete product.  The Dirichlet operator below is
     # exactly self-adjoint under it; trapezoid end-weights would break that
     # at the boundary rows.
-    return float(grid.spacing * np.dot(f, g))
-
-
-def _norm(grid: Grid, f: np.ndarray) -> float:
-    return math.sqrt(_dot(grid, f, f))
+    return float(h * np.dot(f, g))
 
 
 def _apply_values(
@@ -108,7 +104,7 @@ def hamiltonian_apply(H: Hamiltonian, u: SampledFunction) -> SampledFunction:
 def start_vector(grid: Grid) -> SampledFunction:
     """Normalized Gaussian start vector (2/pi)^(1/4) exp(-x^2)."""
     vals = (2.0 / math.pi) ** 0.25 * np.exp(-grid.points**2)
-    vals /= _norm(grid, vals)
+    vals /= math.sqrt(_dot(grid.spacing, vals, vals))
     return SampledFunction(grid, vals)
 
 
@@ -122,49 +118,53 @@ class LanczosRun:
     m: int
 
 
-def lanczos_run(H: Hamiltonian, phi1: SampledFunction, m: int) -> LanczosRun:
+def _krylov(apply, Q: np.ndarray, h: float) -> tuple[list[float], list[float]]:
     """Three-term recursion with full reorthogonalization at every step.
 
-    Stops early when the new direction's norm falls below ``_BETA_TOL``
-    (invariant subspace reached); the returned lists are truncated
-    consistently, with len(betas) == len(alphas) - 1.
+    Fills the rows of ``Q`` from its unit row 0, calling ``apply(v, out)``
+    once per step for the symmetric operator's image of ``v``; inner products
+    are ``h`` times the plain dot.  Stops early when the new direction's norm
+    falls below ``_BETA_TOL`` (invariant subspace reached), so only the first
+    len(alphas) rows are filled, and len(betas) == len(alphas) - 1.
     """
-    check_integer("iteration count m", m, 1)
-    grid = H.grid
-    check_same_grid(grid, phi1.grid, "start vector must live on the Hamiltonian's grid")
-    if abs(_norm(grid, phi1.values) - 1.0) > 1e-8:
-        raise ValueError("start vector must have unit norm")
-
-    rows = min(m, grid.n_points)
-    Q = np.empty((rows, grid.n_points))
-    Q[0] = phi1.values
     alphas: list[float] = []
     betas: list[float] = []
-    beta_prev = 0.0
-    h = grid.spacing
-    w, scratch = np.empty((2, grid.n_points))
-    for k in range(rows):
-        _apply_values(H, Q[k], w, scratch)
-        alpha = _dot(grid, Q[k], w)
-        alphas.append(alpha)
-        if k == rows - 1:
+    w = np.empty_like(Q[0])
+    for k in range(len(Q)):
+        apply(Q[k], w)
+        alphas.append(_dot(h, Q[k], w))
+        if k == len(Q) - 1:
             break
-        r = w - alpha * Q[k]
+        r = w - alphas[-1] * Q[k]
         if k > 0:
-            r -= beta_prev * Q[k - 1]
+            r -= betas[-1] * Q[k - 1]
         # Two Gram-Schmidt passes keep the orthogonality defect at roundoff.
         for _ in range(2):
             r -= (h * (Q[: k + 1] @ r)) @ Q[: k + 1]
-        beta = _norm(grid, r)
+        beta = math.sqrt(_dot(h, r, r))
         if beta < _BETA_TOL:
             break
         betas.append(beta)
         Q[k + 1] = r / beta
-        beta_prev = beta
+    return alphas, betas
 
-    m_eff = len(alphas)
-    basis = [SampledFunction(grid, Q[i]) for i in range(m_eff)]
-    return LanczosRun(alphas=alphas, betas=betas, basis=basis, m=m_eff)
+
+def lanczos_run(H: Hamiltonian, phi1: SampledFunction, m: int) -> LanczosRun:
+    """Lanczos on ``H`` from ``phi1``: at most ``m`` steps of ``_krylov``."""
+    check_integer("iteration count m", m, 1)
+    grid = H.grid
+    check_same_grid(grid, phi1.grid, "start vector must live on the Hamiltonian's grid")
+    if abs(math.sqrt(_dot(grid.spacing, phi1.values, phi1.values)) - 1.0) > 1e-8:
+        raise ValueError("start vector must have unit norm")
+
+    Q = np.empty((min(m, grid.n_points), grid.n_points))
+    Q[0] = phi1.values
+    scratch = np.empty(grid.n_points)
+    alphas, betas = _krylov(
+        lambda v, out: _apply_values(H, v, out, scratch), Q, grid.spacing
+    )
+    basis = [SampledFunction(grid, q) for q in Q[: len(alphas)]]
+    return LanczosRun(alphas=alphas, betas=betas, basis=basis, m=len(alphas))
 
 
 def tridiagonal_eigen(
@@ -197,7 +197,7 @@ class RitzPair:
 def delta_check(H: Hamiltonian, state: SampledFunction, value: float) -> float:
     """Residual-norm-squared gauge |e^2 - <psi|H^2|psi>| for a unit state."""
     hhpsi = hamiltonian_apply(H, hamiltonian_apply(H, state))
-    return abs(value * value - _dot(H.grid, state.values, hhpsi.values))
+    return abs(value * value - _dot(H.grid.spacing, state.values, hhpsi.values))
 
 
 def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
