@@ -32,6 +32,10 @@ _BLOCK_ROWS = 16
 # A new Lanczos direction shorter than this ends the run: the Krylov space
 # is invariant.
 _BETA_TOL = 1e-12
+# A Ritz history with at least this many grid values across its run (n * m)
+# scores its prefixes on two threads; below it, starting a thread costs more
+# than it saves.
+_THREADED_SIZE = 150_000
 
 
 @dataclass(frozen=True)
@@ -206,34 +210,81 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
     Truncating the recursion reproduces exactly what a shorter run would
     have computed, so the history can be sliced out of one full run.  It
     holds values and deltas only, so its size does not grow with the grid;
-    the Ritz vectors pass through one block of ``_BLOCK_ROWS`` rows.
+    the Ritz vectors pass through one block of ``_BLOCK_ROWS`` rows.  A
+    history of at least ``_THREADED_SIZE`` grid values scores on two
+    threads, each with half the block's rows; every value and delta keeps
+    its bits, since each row sees the same operations whatever its block.
     """
     # One basis stack and one block each of psi, H psi and H^2 psi serve
     # every prefix scored.  Block rows are 1 x n, so each product below is a
     # stack of one BLAS gemv or ddot per Ritz vector, as for a lone vector.
-    h = H.grid.spacing
+    h, n, m = H.grid.spacing, H.grid.n_points, run.m
     Q = np.stack([b.values for b in run.basis])
-    rows = min(_BLOCK_ROWS, run.m)
-    psi, hpsi, hhpsi = np.empty((3, rows, 1, H.grid.n_points))
-    history = []
-    for k in range(1, run.m + 1):
-        values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
-        # C-contiguous rows: a strided view of the columns, or one gemm over
-        # the block, moves the last bits of delta.
-        Z = np.ascontiguousarray(vectors.T)[:, None, :]
-        pairs = []
-        for start in range(0, k, rows):
-            v = values[start : start + rows]
-            p, hp, hhp = psi[: v.size], hpsi[: v.size], hhpsi[: v.size]
-            np.matmul(Z[start : start + rows], Q[:k], out=p)
-            p /= np.sqrt(h * (p @ p.transpose(0, 2, 1)))
-            # H psi is the second apply's input and its scratch: it is not read again.
-            _apply_values(H, p, hp, hhp)
-            _apply_values(H, hp, hhp, hp)
-            deltas = np.abs(v * v - h * (p @ hhp.transpose(0, 2, 1)).ravel())
-            pairs += map(RitzPair, v.tolist(), deltas.tolist())
-        history.append(pairs)
+    workers = 1
+    if n * m >= _THREADED_SIZE:
+        import os
+
+        workers = min(2, os.cpu_count() or 1, m)
+    # The workers split the rows of the blocks, so they hold three in all.
+    rows = min(_BLOCK_ROWS // workers, m)
+    blocks = np.empty((workers, 3, rows, 1, n))
+    history: list[list[RitzPair]] = [[] for _ in range(m)]
+
+    def score(worker: int) -> None:
+        # A prefix costs about k^2, so taking every workers-th one balances
+        # the load; each fills its own slot, so the order is that of k.
+        psi, hpsi, hhpsi = blocks[worker]
+        for k in range(worker + 1, m + 1, workers):
+            values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
+            # C-contiguous rows: a strided view of the columns, or one gemm
+            # over the block, moves the last bits of delta.
+            Z = np.ascontiguousarray(vectors.T)[:, None, :]
+            pairs = history[k - 1]
+            for start in range(0, k, rows):
+                v = values[start : start + rows]
+                p, hp, hhp = psi[: v.size], hpsi[: v.size], hhpsi[: v.size]
+                np.matmul(Z[start : start + rows], Q[:k], out=p)
+                p /= np.sqrt(h * (p @ p.transpose(0, 2, 1)))
+                # H psi is the second apply's input and its scratch: it is
+                # not read again.
+                _apply_values(H, p, hp, hhp)
+                _apply_values(H, hp, hhp, hp)
+                deltas = np.abs(v * v - h * (p @ hhp.transpose(0, 2, 1)).ravel())
+                pairs += map(RitzPair, v.tolist(), deltas.tolist())
+
+    if workers == 1:
+        score(0)
+    else:
+        _score_on_two_threads(score)
     return history
+
+
+def _score_on_two_threads(score) -> None:
+    """Run ``score(1)`` on a new thread while ``score(0)`` runs on this one.
+
+    The new thread runs in a copy of the caller's context, so numpy's
+    errstate holds there too.  It is joined before this returns or raises,
+    and its exception is raised again here.
+    """
+    import contextvars
+    import threading
+
+    failures: list[BaseException] = []
+
+    def guarded() -> None:
+        try:
+            score(1)
+        except BaseException as exc:
+            failures.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(guarded,))
+    thread.start()
+    try:
+        score(0)
+    finally:
+        thread.join()
+    if failures:
+        raise failures[0]
 
 
 def _label(deltas: Sequence[float]) -> str:

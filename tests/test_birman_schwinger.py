@@ -21,10 +21,13 @@ from scipy.linalg import eigh_tridiagonal
 from boundstates import lanczos, waxman
 from boundstates import (
     Hamiltonian,
+    PotentialSpec,
     WaxmanConfig,
     classify_pairs,
     lanczos_run,
+    make_grid,
     ritz_history,
+    sample_potential,
     start_vector,
     tridiagonal_eigen,
     waxman_fixed_point,
@@ -138,3 +141,39 @@ def test_lanczos_on_h_is_spurious_on_the_same_grid(fine_grid, gaussian_fine):
     assert values[0] - exact > 1e-2
     assert any(label == "spurious" for _, label in labelled)
     assert values[-1] > 1e4
+
+
+def test_whole_line_spectrum_is_the_union_of_the_sectors():
+    # On a symmetric grid and an even well, the whole-line B commutes with
+    # x -> -x.  Folded onto x >= 0, its even block is S (G(x - x') +
+    # G(x + x')) S with the half-axis trapezoid weights (h/2 at the origin),
+    # and its odd block is the odd sector's S (G(x - x') - G(x + x')) S on
+    # x > 0.  The two spectra together are B's, dense, at eps = 1.
+    n, eps = 641, 1.0
+    grid = make_grid(12.0, n)
+    V = sample_potential(PotentialSpec.gaussian(), grid)
+    x, h, s = grid.points, grid.spacing, math.sqrt(eps)
+
+    def b_matrix(nodes, values, kernel):
+        W = np.full(nodes.size, h)
+        W[0] = W[-1] = h / 2
+        S = np.sqrt(W * values)
+        return S[:, None] * kernel(nodes[:, None], nodes[None, :]) * S
+
+    def green(d):
+        return np.exp(-s * np.abs(d)) / (2 * s)
+
+    whole = np.linalg.eigvalsh(b_matrix(x, V.values, lambda a, b: green(a - b)))
+    half = slice(n // 2, None)
+    assert x[half][0] == 0.0
+    even = b_matrix(x[half], V.values[half], lambda a, b: green(a - b) + green(a + b))
+    odd = b_matrix(x[half], V.values[half], lambda a, b: green(a - b) - green(a + b))
+    # The origin's row and column of the odd block vanish: drop that node.
+    odd = np.linalg.eigvalsh(odd[1:, 1:])
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(even), odd]))
+    assert np.max(np.abs(whole - union)) <= 1e-12 * whole[-1]
+    # And they are the operators the fixed point iterates.
+    for sector, top in (("full", whole[-1]), ("odd", odd[-1])):
+        solve = waxman_fixed_point(WaxmanConfig(eps, sector=sector), V)
+        assert solve.converged
+        assert abs(1.0 / top - solve.lam) <= 1e-10 * solve.lam

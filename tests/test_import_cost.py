@@ -1,8 +1,10 @@
 """scipy stays off the run-time path: no import or CLI command loads it.
 
-Each case runs in a fresh interpreter, since this test session has scipy
-loaded already (the oracles in ``_threshold.py`` use it).  The interpreter
-runs with ``-W error``, so a command that warns fails here as well.
+Nor does ``concurrent.futures``, and the import and ``reproduce-paper``
+start no thread: only large Ritz histories score on a second thread.  Each
+case runs in a fresh interpreter, since this test session has scipy loaded
+already (the oracles in ``_threshold.py`` use it).  The interpreter runs
+with ``-W error``, so a command that warns fails here as well.
 """
 
 import os
@@ -16,20 +18,24 @@ import boundstates
 from test_cli import HEADER_RUNS
 
 # Imports the package, runs the CLI on the arguments if there are any, and
-# prints the exit code and the loaded scipy modules as its last line.
+# prints the exit code, the count of live threads and the loaded scipy and
+# concurrent modules as its last line.
 _PROBE = """
 import sys
+import threading
 import boundstates
 code = 0
 if sys.argv[1:]:
     from boundstates.cli import main
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+loaded = (m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))
+print(code, threading.active_count(), *sorted(loaded))
 """
 
 
-def _scipy_modules(*argv):
-    """Exit code of ``boundstates *argv`` and the scipy modules it loaded."""
+def _probe(*argv):
+    """Exit code of ``boundstates *argv``, its live threads at the end, and
+    the scipy and concurrent modules it loaded."""
     env = dict(os.environ)
     src = str(Path(boundstates.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -40,12 +46,12 @@ def _scipy_modules(*argv):
         env=env,
         check=True,
     )
-    code, *modules = proc.stdout.splitlines()[-1].split()
-    return int(code), set(modules)
+    code, threads, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), int(threads), set(modules)
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules() == (0, set())
+    assert _probe() == (0, 1, set())
 
 
 # The coupling-curve commands run with their header-test arguments; "{tmp}"
@@ -64,12 +70,13 @@ _CURVE_COMMANDS = ("sweep", "invert", "threshold")
     ids=["oracle-shooting", "solve-waxman", "solve-lanczos", *_CURVE_COMMANDS],
 )
 def test_kernel_and_shooting_commands_load_no_scipy(argv, tmp_path):
-    code, modules = _scipy_modules(*(arg.format(tmp=tmp_path) for arg in argv))
+    code, _, modules = _probe(*(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 0
     assert modules == set()
 
 
 def test_reproduce_paper_loads_no_scipy(tmp_path):
-    code, modules = _scipy_modules("reproduce-paper", "--output-dir", str(tmp_path))
+    code, threads, modules = _probe("reproduce-paper", "--output-dir", str(tmp_path))
     assert code == 2  # the excited_threshold row fails the published value
+    assert threads == 1
     assert modules == set()

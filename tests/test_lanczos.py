@@ -1,6 +1,10 @@
 """Lanczos recursion, Ritz extraction, and the spuriousness gauge."""
 
 import io
+import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +29,7 @@ from boundstates import (
     tridiagonal_eigen,
     write_trace_csv,
 )
+from boundstates.cli import main
 from _jacobi import jacobi_eigenvalues
 
 # Grid for the 18-step comparison runs.  The recursion emulates iteration in
@@ -442,11 +447,15 @@ class TestRitzPairs:
         assert sum(map(len, history)) == 5050
         assert peak < 8e6
 
-    def test_gauge_holds_three_blocks(self):
+    @pytest.mark.parametrize("n", [2401, 4801], ids=["one-worker", "two-workers"])
+    def test_gauge_holds_three_blocks(self, n):
         # Past the basis stack, the history holds psi, H psi and H^2 psi in
         # blocks of 16 rows and no fourth scratch block: the second apply
         # uses its own input as scratch.  lam*V belongs to the Hamiltonian.
-        n, m = 2401, 40
+        # Above the thread gate the two workers split those rows between
+        # them; tracemalloc sees both threads.
+        m = 40
+        assert (n * m >= lanczos._THREADED_SIZE) == (n == 4801)
         g = make_grid(12.0, n)
         H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
         run = lanczos_run(H, start_vector(g), m)
@@ -458,6 +467,113 @@ class TestRitzPairs:
             tracemalloc.stop()
         blocks = (peak - 8 * m * n) / (8 * lanczos._BLOCK_ROWS * n)
         assert blocks < 4.2
+
+
+def _force_workers(monkeypatch, workers):
+    """Score every history on ``workers`` (1 or 2) workers, whatever its size."""
+    monkeypatch.setattr(lanczos, "_THREADED_SIZE", math.inf if workers == 1 else 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+
+
+def _watch_applies(monkeypatch, watch):
+    """Call ``watch()`` in the scoring thread before each apply of H."""
+    apply_values = lanczos._apply_values
+
+    def watched(*args):
+        watch()
+        return apply_values(*args)
+
+    monkeypatch.setattr(lanczos, "_apply_values", watched)
+
+
+def _threaded_setup():
+    g, H = _coarse_setup(641)
+    return H, lanczos_run(H, start_vector(g), 50)
+
+
+class TestHistoryWorkers:
+    @pytest.mark.parametrize(
+        "kind, n, m",
+        [
+            ("gaussian", 161, 18),
+            ("gaussian", 641, 50),
+            ("gaussian", 2401, 100),
+            ("poschl_teller", 1201, 55),
+        ],
+    )
+    def test_bits_hold_across_worker_counts(self, monkeypatch, kind, n, m):
+        g = make_grid(12.0, n)
+        H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
+        run = lanczos_run(H, start_vector(g), m)
+        scored = []
+        for workers in (1, 2):
+            threads = set()
+            # A short switch interval interleaves the workers finely, so a
+            # shared row or slot would show.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with monkeypatch.context() as mp:
+                    _force_workers(mp, workers)
+                    _watch_applies(mp, lambda: threads.add(threading.get_ident()))
+                    history = ritz_history(run, H)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(threads) == workers
+            scored.append([[(p.value, p.delta) for p in row] for row in history])
+        assert scored[0] == scored[1]
+
+    def test_trace_csv_bytes_hold_across_worker_counts(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        argv = ["solve-lanczos", "--potential", "gaussian", "--n-points", "2401"]
+        traces, reports = [], []
+        for workers in (1, 2):
+            trace = tmp_path / f"trace-{workers}.csv"
+            with monkeypatch.context() as mp:
+                _force_workers(mp, workers)
+                assert main([*argv, "-m", "100", "--output", str(trace)]) == 0
+            traces.append(trace.read_bytes())
+            reports.append(capsys.readouterr().out.replace(str(trace), "TRACE"))
+        assert traces[0] == traces[1]
+        assert reports[0] == reports[1]
+
+    def test_a_worker_failure_reaches_the_caller(self, monkeypatch):
+        class Failure(Exception):
+            pass
+
+        H, run = _threaded_setup()
+        caller = threading.get_ident()
+
+        def fail_off_the_caller():
+            # Only the second worker runs off the calling thread.
+            if threading.get_ident() != caller:
+                raise Failure
+
+        before = threading.active_count()
+        with monkeypatch.context() as mp:
+            _force_workers(mp, 2)
+            _watch_applies(mp, fail_off_the_caller)
+            with pytest.raises(Failure):
+                ritz_history(run, H)
+        assert threading.active_count() == before
+        _force_workers(monkeypatch, 2)
+        assert len(ritz_history(run, H)) == run.m
+        assert threading.active_count() == before
+
+    def test_every_worker_runs_under_the_callers_errstate(self, monkeypatch):
+        H, run = _threaded_setup()
+        seen = []
+        _force_workers(monkeypatch, 2)
+        _watch_applies(
+            monkeypatch, lambda: seen.append((threading.get_ident(), np.geterr()))
+        )
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            expected = np.geterr()
+            ritz_history(run, H)
+        assert expected != np.geterr()
+        assert len({ident for ident, _ in seen}) == 2
+        assert all(state == expected for _, state in seen)
 
 
 class TestDeltaCheck:
