@@ -114,12 +114,24 @@ def start_vector(grid: Grid) -> SampledFunction:
 
 @dataclass
 class LanczosRun:
-    """Tridiagonal coefficients and the orthonormal basis that produced them."""
+    """Tridiagonal coefficients and the orthonormal basis that produced them.
+
+    ``Q`` holds the basis on ``grid`` as C-contiguous rows, one per alpha.
+    """
 
     alphas: list[float]
     betas: list[float]
-    basis: list[SampledFunction]
-    m: int
+    Q: np.ndarray
+    grid: Grid
+
+    @property
+    def m(self) -> int:
+        return len(self.alphas)
+
+    @property
+    def basis(self) -> list[SampledFunction]:
+        """The rows of ``Q`` as sampled functions, each a view of its row."""
+        return [SampledFunction(self.grid, q) for q in self.Q]
 
 
 def _krylov(apply, Q: np.ndarray, h: float) -> tuple[list[float], list[float]]:
@@ -167,8 +179,7 @@ def lanczos_run(H: Hamiltonian, phi1: SampledFunction, m: int) -> LanczosRun:
     alphas, betas = _krylov(
         lambda v, out: _apply_values(H, v, out, scratch), Q, grid.spacing
     )
-    basis = [SampledFunction(grid, q) for q in Q[: len(alphas)]]
-    return LanczosRun(alphas=alphas, betas=betas, basis=basis, m=len(alphas))
+    return LanczosRun(alphas=alphas, betas=betas, Q=Q[: len(alphas)], grid=grid)
 
 
 def tridiagonal_eigen(
@@ -215,11 +226,11 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
     threads, each with half the block's rows; every value and delta keeps
     its bits, since each row sees the same operations whatever its block.
     """
-    # One basis stack and one block each of psi, H psi and H^2 psi serve
+    check_same_grid(H.grid, run.grid, "run must live on the Hamiltonian's grid")
+    # The run's basis rows and one block each of psi, H psi and H^2 psi serve
     # every prefix scored.  Block rows are 1 x n, so each product below is a
     # stack of one BLAS gemv or ddot per Ritz vector, as for a lone vector.
-    h, n, m = H.grid.spacing, H.grid.n_points, run.m
-    Q = np.stack([b.values for b in run.basis])
+    h, n, m, Q = H.grid.spacing, H.grid.n_points, run.m, run.Q
     workers = 1
     if n * m >= _THREADED_SIZE:
         import os
@@ -255,36 +266,17 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
     if workers == 1:
         score(0)
     else:
-        _score_on_two_threads(score)
+        import contextvars
+        from concurrent.futures import ThreadPoolExecutor
+
+        # The second worker runs in a copy of the caller's context, so numpy's
+        # errstate holds there too.  Leaving the pool joins it even if
+        # score(0) raises, and result() raises its exception again here.
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(contextvars.copy_context().run, score, 1)
+            score(0)
+        second.result()
     return history
-
-
-def _score_on_two_threads(score) -> None:
-    """Run ``score(1)`` on a new thread while ``score(0)`` runs on this one.
-
-    The new thread runs in a copy of the caller's context, so numpy's
-    errstate holds there too.  It is joined before this returns or raises,
-    and its exception is raised again here.
-    """
-    import contextvars
-    import threading
-
-    failures: list[BaseException] = []
-
-    def guarded() -> None:
-        try:
-            score(1)
-        except BaseException as exc:
-            failures.append(exc)
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(guarded,))
-    thread.start()
-    try:
-        score(0)
-    finally:
-        thread.join()
-    if failures:
-        raise failures[0]
 
 
 def _label(deltas: Sequence[float]) -> str:

@@ -254,8 +254,7 @@ def test_criterion_09_property_suites(gaussian_setup, lanczos_comparison, rng):
 
     # Lanczos orthonormality and variational descent
     lz_grid, H, run, history = lanczos_comparison
-    Q = np.stack([b.values for b in run.basis])
-    gram = lz_grid.spacing * (Q @ Q.T)
+    gram = lz_grid.spacing * (run.Q @ run.Q.T)
     assert np.max(np.abs(gram - np.eye(run.m))) <= 1e-8
     lowest = [min(p.value for p in pairs) for pairs in history]
     assert all(b <= a + 1e-10 for a, b in zip(lowest, lowest[1:]))

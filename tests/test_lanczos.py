@@ -206,9 +206,24 @@ class TestLanczosRun:
     def test_orthonormality_defect(self, fine_grid, gaussian_fine):
         H = Hamiltonian(gaussian_fine, 1.0)
         run = lanczos_run(H, start_vector(fine_grid), 18)
-        Q = np.stack([b.values for b in run.basis])
-        gram = fine_grid.spacing * (Q @ Q.T)
+        gram = fine_grid.spacing * (run.Q @ run.Q.T)
         assert np.max(np.abs(gram - np.eye(run.m))) <= 1e-8
+
+    @pytest.mark.parametrize("exact_start", [False, True], ids=["full", "breakdown"])
+    def test_basis_is_one_c_contiguous_array(self, exact_start):
+        # The history scores straight from these rows, and the delta bits
+        # depend on their layout.  An exact start vector ends the run after
+        # one step, leaving rows of the recursion's buffer unused.
+        g, H = _coarse_setup()
+        phi = _ground_eigvec(H)[1] if exact_start else start_vector(g)
+        run = lanczos_run(H, phi, 12)
+        assert run.m == len(run.alphas) == (1 if exact_start else 12)
+        assert run.Q.shape == (run.m, g.n_points)
+        assert run.Q.flags.c_contiguous
+        assert len(run.basis) == run.m
+        for i, b in enumerate(run.basis):
+            assert b.grid is g
+            assert np.array_equal(b.values, run.Q[i])
 
     def test_lengths_consistent(self):
         g, H = _coarse_setup()
@@ -302,10 +317,9 @@ class TestRitzPairs:
         values = [p.value for p in pairs]
         assert values == sorted(values)
         # The pairs keep no vectors: rebuild each from the run and re-gauge it.
-        Q = np.stack([b.values for b in run.basis])
         vals, vecs = tridiagonal_eigen(run.alphas, run.betas)
         for p, value, z in zip(pairs, vals, vecs.T.copy(), strict=True):
-            psi = z @ Q
+            psi = z @ run.Q
             psi /= np.sqrt(_h_dot(g, psi, psi))
             assert abs(_h_dot(g, psi, psi) - 1.0) <= 1e-8
             assert p.value == value
@@ -401,13 +415,12 @@ class TestRitzPairs:
         H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
         run = lanczos_run(H, start_vector(g), m)
         assert run.m == m
-        Q = np.stack([b.values for b in run.basis])
         for k, row in enumerate(ritz_history(run, H), 1):
             reference = []
             values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
             # Each z a contiguous copy, as a lone vector is: a strided z moves bits.
             for value, z in zip(values, vectors.T.copy()):
-                psi = z @ Q[:k]
+                psi = z @ run.Q[:k]
                 psi /= np.sqrt(_h_dot(g, psi, psi))
                 state = SampledFunction(g, psi)
                 hh = hamiltonian_apply(H, hamiltonian_apply(H, state)).values
@@ -432,6 +445,20 @@ class TestRitzPairs:
         assert sum(map(len, history)) == 820
         assert len(applies) <= 2 * sum(-(-k // 16) for k in range(1, 41))
 
+    @pytest.mark.parametrize("n", [161, 201])
+    def test_run_from_another_grid_rejected(self, n):
+        # Same node count, and then another one: either way the run's basis
+        # does not live on the Hamiltonian's grid.
+        _, H = _coarse_setup(161)
+        other = make_grid(10.0, n)
+        run = lanczos_run(
+            Hamiltonian(sample_potential(PotentialSpec.gaussian(), other), 1.0),
+            start_vector(other),
+            12,
+        )
+        with pytest.raises(GridMismatchError):
+            ritz_history(run, H)
+
     def test_history_holds_no_vectors(self):
         # 5050 pairs at (n, m) = (2401, 100): keeping each Ritz vector would
         # take about 97 MB.  numpy reports its buffers to tracemalloc.
@@ -449,23 +476,26 @@ class TestRitzPairs:
 
     @pytest.mark.parametrize("n", [2401, 4801], ids=["one-worker", "two-workers"])
     def test_gauge_holds_three_blocks(self, n):
-        # Past the basis stack, the history holds psi, H psi and H^2 psi in
-        # blocks of 16 rows and no fourth scratch block: the second apply
-        # uses its own input as scratch.  lam*V belongs to the Hamiltonian.
-        # Above the thread gate the two workers split those rows between
-        # them; tracemalloc sees both threads.
+        # The history scores from the run's own basis array, with no copy of
+        # it, and holds psi, H psi and H^2 psi in blocks of 16 rows and no
+        # fourth scratch block: the second apply uses its own input as
+        # scratch.  lam*V belongs to the Hamiltonian.  Above the thread gate
+        # the two workers split those rows between them; tracemalloc sees
+        # both threads.  A first call loads the thread pool's modules before
+        # the traced one.
         m = 40
         assert (n * m >= lanczos._THREADED_SIZE) == (n == 4801)
         g = make_grid(12.0, n)
         H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
         run = lanczos_run(H, start_vector(g), m)
+        ritz_history(run, H)
         tracemalloc.start()
         try:
             ritz_history(run, H)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        blocks = (peak - 8 * m * n) / (8 * lanczos._BLOCK_ROWS * n)
+        blocks = peak / (8 * lanczos._BLOCK_ROWS * n)
         assert blocks < 4.2
 
 
