@@ -251,11 +251,11 @@ THRESHOLD_TAIL = tuple(0.01 * 0.5**k for k in range(10))
 # Read only by the traced residual-stage replay in benchmarks/bench_ops.py.
 RESIDUAL_SWEEP_EPSILONS = tuple(np.linspace(0.1, 1.0, 20))
 
-# The Krylov comparison runs on a coarser mesh than the quadrature solvers:
-# the published run iterated in a small smooth function space, and a grid
-# stands in for that regime only while the operator's spectral radius stays
-# moderate.  On the fine default mesh, rounding noise amplified by the
-# 4/h^2 top of the spectrum captures the recursion within a few steps.
+# The Krylov comparison runs on a coarser mesh than the quadrature solvers.
+# With full reorthogonalization, the steps Lanczos on H needs for a fixed
+# ground accuracy grow like 1/h: gamma = (E2 - E1) / (E_max - E2) shrinks like
+# h^2 under the 4/h^2 top, and m sqrt(gamma) stays at 2.4-3.2 (to 1e-6, n = 81
+# to 1201).  So m = 18 gets within 1e-3 of the ground level at n = 161, not 641.
 LANCZOS_N_POINTS = 161
 
 

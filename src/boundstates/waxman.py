@@ -29,7 +29,6 @@ SECTORS = ("full", "odd")
 
 # Below this magnitude the normalization integral is treated as zero.
 _DENOMINATOR_FLOOR = 1e-14
-_GRID_MISMATCH = "potential and state must share a grid"
 # Tail points (the ones nearest zero) in the threshold's square-root fit.
 _FIT_POINTS = 4
 # Largest s |x - a| of a scan weight exp(+-s (x - a)): exp(600) leaves a factor
@@ -70,13 +69,11 @@ class _KernelScan:
     (one block, a = 0, while s * half_width <= _MAX_EXPONENT).  Each running
     integral sums its first block, then each later one from the sum so far
     times exp(-s |a - a'|).  The odd sector's image term comes off the left
-    integral's first block, and the joins carry it on.  Built inside
-    ``_scan``, an overflowing weight or sum raises ``SolverError``.
-    It holds the weights and the two running integrals, allocated once; an
-    apply needs no other scratch, and its output may overwrite its input.
-
-    The odd sector, and the full sector on exactly even input (``even``),
-    scan only the nodes x >= 0; ``mirror`` extends them by ``parity`` (-1, +1).
+    integral's first block, and the joins carry it on.  It holds the weights
+    and the two running integrals, allocated once; an apply needs no other
+    scratch, and its output may overwrite its input.  In the odd sector, or
+    with ``even`` (``_scan`` decides it), it scans only the nodes x >= 0, and
+    ``mirror`` extends them by ``parity`` (-1, +1).
     """
 
     def __init__(self, grid: Grid, epsilon: float, sector: str, even: bool = False):
@@ -184,8 +181,12 @@ def _carried_sum(a: np.ndarray, blocks: tuple[slice, tuple], image=None) -> None
 
 
 @contextmanager
-def _scan(grid: Grid, epsilon: float, sector: str, even=False) -> Iterator[_KernelScan]:
-    """A kernel scan whose float overflow raises ``SolverError``, not a warning."""
+def _scan(grid: Grid, epsilon: float, sector: str, *factors) -> Iterator[_KernelScan]:
+    """A kernel scan whose float overflow raises ``SolverError``, folded onto x >= 0
+    in the full sector when given integrand factors that are all exactly even."""
+    even = sector == "full" and bool(factors) and all(
+        np.array_equal(f, f[::-1]) for f in factors
+    )
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield _KernelScan(grid, epsilon, sector, even)
@@ -206,27 +207,29 @@ def _ref_index(grid: Grid, sector: str) -> int:
     return idx
 
 
+def _kernel_image(kernel: GreensKernel, V, u, step: bool) -> SampledFunction:
+    """Kernel image of V*u at every grid node, normalized by ``scan.step`` if ``step``."""
+    grid = check_same_grid(V.grid, u.grid, "potential and state must share a grid")
+    idx = _ref_index(grid, kernel.sector) if step else None
+    with _scan(grid, kernel.epsilon, kernel.sector, V.values, u.values) as scan:
+        w = np.multiply(V.values, u.values)
+        f = w[scan.start :]
+        scan.step(f, idx, f) if step else scan.apply(f, out=f)
+        return SampledFunction(grid, scan.mirror(w))
+
+
 def apply_kernel(
     kernel: GreensKernel, V: SampledFunction, u: SampledFunction
 ) -> SampledFunction:
     """Quadrature of the kernel integral of V*u at every grid node."""
-    grid = check_same_grid(V.grid, u.grid, _GRID_MISMATCH)
-    with _scan(grid, kernel.epsilon, kernel.sector) as scan:
-        w = np.multiply(V.values, u.values)
-        scan.apply(w[scan.start :], out=w[scan.start :])
-        return SampledFunction(grid, scan.mirror(w))
+    return _kernel_image(kernel, V, u, step=False)
 
 
 def waxman_step(
     kernel: GreensKernel, V: SampledFunction, u_n: SampledFunction
 ) -> SampledFunction:
     """One normalized iteration of the integral map, 1 at the solve's reference node."""
-    grid = check_same_grid(V.grid, u_n.grid, _GRID_MISMATCH)
-    idx = _ref_index(grid, kernel.sector)
-    with _scan(grid, kernel.epsilon, kernel.sector) as scan:
-        w = np.multiply(V.values, u_n.values)
-        scan.step(w[scan.start :], idx, w[scan.start :])
-        return SampledFunction(grid, scan.mirror(w))
+    return _kernel_image(kernel, V, u_n, step=True)
 
 
 @dataclass
@@ -264,11 +267,8 @@ def waxman_fixed_point(cfg: WaxmanConfig, V: SampledFunction) -> WaxmanResult:
     """
     grid = V.grid
     idx = _ref_index(grid, cfg.sector)
-    # On an exactly even well every full-sector iterate is exactly even, so
-    # both sectors iterate on the nodes x >= 0 and unfold u once at the end.
-    even = cfg.sector == "full" and np.array_equal(V.values, V.values[::-1])
     residual, converged, iterations = math.inf, False, 0
-    with _scan(grid, cfg.epsilon, cfg.sector, even) as scan:
+    with _scan(grid, cfg.epsilon, cfg.sector, V.values) as scan:  # u stays even if V is
         # Ones (full sector) or x (odd sector): nonzero at the reference node.
         x = grid.points[scan.start :]
         u = np.ones_like(x) if cfg.sector == "full" else x / grid.points[idx]

@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from boundstates import lanczos, waxman
+from boundstates import cli, lanczos, waxman
 from boundstates import (
     Hamiltonian,
     PotentialSpec,
+    SampledFunction,
     WaxmanConfig,
     classify_pairs,
     lanczos_run,
@@ -143,6 +144,18 @@ def test_lanczos_on_h_is_spurious_on_the_same_grid(fine_grid, gaussian_fine):
     assert values[-1] > 1e4
 
 
+def _b_matrix(nodes, values, kernel, h):
+    """Dense S K S on ``nodes``, with the trapezoid weights (h/2 at both ends)."""
+    W = np.full(nodes.size, h)
+    W[0] = W[-1] = h / 2
+    S = np.sqrt(W * values)
+    return S[:, None] * kernel(nodes[:, None], nodes[None, :]) * S
+
+
+def _green(s):
+    return lambda d: np.exp(-s * np.abs(d)) / (2 * s)
+
+
 def test_whole_line_spectrum_is_the_union_of_the_sectors():
     # On a symmetric grid and an even well, the whole-line B commutes with
     # x -> -x.  Folded onto x >= 0, its even block is S (G(x - x') +
@@ -152,22 +165,12 @@ def test_whole_line_spectrum_is_the_union_of_the_sectors():
     n, eps = 641, 1.0
     grid = make_grid(12.0, n)
     V = sample_potential(PotentialSpec.gaussian(), grid)
-    x, h, s = grid.points, grid.spacing, math.sqrt(eps)
-
-    def b_matrix(nodes, values, kernel):
-        W = np.full(nodes.size, h)
-        W[0] = W[-1] = h / 2
-        S = np.sqrt(W * values)
-        return S[:, None] * kernel(nodes[:, None], nodes[None, :]) * S
-
-    def green(d):
-        return np.exp(-s * np.abs(d)) / (2 * s)
-
-    whole = np.linalg.eigvalsh(b_matrix(x, V.values, lambda a, b: green(a - b)))
+    x, h, green = grid.points, grid.spacing, _green(math.sqrt(eps))
+    whole = np.linalg.eigvalsh(_b_matrix(x, V.values, lambda a, b: green(a - b), h))
     half = slice(n // 2, None)
     assert x[half][0] == 0.0
-    even = b_matrix(x[half], V.values[half], lambda a, b: green(a - b) + green(a + b))
-    odd = b_matrix(x[half], V.values[half], lambda a, b: green(a - b) - green(a + b))
+    even = _b_matrix(x[half], V.values[half], lambda a, b: green(a - b) + green(a + b), h)
+    odd = _b_matrix(x[half], V.values[half], lambda a, b: green(a - b) - green(a + b), h)
     # The origin's row and column of the odd block vanish: drop that node.
     odd = np.linalg.eigvalsh(odd[1:, 1:])
     union = np.sort(np.concatenate([np.linalg.eigvalsh(even), odd]))
@@ -177,3 +180,43 @@ def test_whole_line_spectrum_is_the_union_of_the_sectors():
         solve = waxman_fixed_point(WaxmanConfig(eps, sector=sector), V)
         assert solve.converged
         assert abs(1.0 / top - solve.lam) <= 1e-10 * solve.lam
+
+
+@pytest.mark.parametrize("eps", [0.2, 1.0])
+def test_uneven_well_matches_the_dense_operator(eps):
+    # An uneven well is the one input that runs the whole-line scan, and
+    # shooting, which assumes parity, cannot check it.  The dense whole-line
+    # S K S shares no code with the scan: its top eigenvalue is 1/lambda,
+    # and mu2/mu1 sets the iteration count to tol 1e-13, as in the even case.
+    grid = make_grid(12.0, 641)
+    x = grid.points
+    V = SampledFunction(grid, np.exp(-((x + 1.2) ** 2)) + 0.6 * np.exp(-2 * (x - 1.5) ** 2))
+    assert not np.array_equal(V.values, V.values[::-1])
+    green = _green(math.sqrt(eps))
+    mu = np.linalg.eigvalsh(_b_matrix(x, V.values, lambda a, b: green(a - b), grid.spacing))
+    solve = waxman_fixed_point(WaxmanConfig(eps, tol=1e-13), V)
+    assert solve.converged
+    assert abs(1.0 / mu[-1] - solve.lam) <= 1e-12 * solve.lam
+    p = math.log(1e-13) / math.log(mu[-2] / mu[-1])
+    assert abs(solve.iterations - math.ceil(p)) <= 1
+
+
+@pytest.mark.parametrize("n", [161, 641])
+def test_lanczos_n_points_is_where_18_steps_reach_the_ground(n):
+    # With full reorthogonalization the H-Lanczos steps that a fixed ground
+    # accuracy needs grow like 1/h, so a fixed m = 18 reaches the grid's
+    # ground level on the coarse Lanczos mesh and misses it four times finer.
+    assert cli.LANCZOS_N_POINTS == 161
+    grid = make_grid(12.0, n)
+    V = sample_potential(PotentialSpec.gaussian(), grid)
+    run = lanczos_run(Hamiltonian(V, 1.0), start_vector(grid), M)
+    h = grid.spacing
+    exact = eigh_tridiagonal(
+        2.0 / h**2 - V.values,
+        np.full(n - 1, -1.0 / h**2),
+        eigvals_only=True,
+        select="i",
+        select_range=(0, 0),
+    )[0]
+    gap = tridiagonal_eigen(run.alphas, run.betas)[0][0] - exact
+    assert gap < 1e-3 if n == 161 else gap > 5e-3

@@ -103,3 +103,29 @@ def test_every_public_name_has_a_reader():
         re.findall(r"\w+", (ROOT / "README.md").read_text()),
     )
     assert sorted(set(boundstates.__all__) - read) == []
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """Calls in ``tree`` of a function or method called ``name``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_the_fold_rule_is_stated_once():
+    # ``_scan`` alone builds a kernel scan and decides, from the integrand's
+    # factors, whether it folds onto x >= 0: no entry point tests evenness.
+    waxman = ast.parse((PACKAGE / "waxman.py").read_text())
+    builders = {top.name for top in waxman.body if _calls(top, "_KernelScan")}
+    assert builders == {"_scan"}
+    evenness = [
+        (path.stem, getattr(top, "name", None))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for call in _calls(top, "array_equal")
+        if any(ast.unparse(arg).endswith("[::-1]") for arg in call.args)
+    ]
+    assert evenness == [("waxman", "_scan")]

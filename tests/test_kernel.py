@@ -16,6 +16,7 @@ from boundstates import (
     make_grid,
     sample_potential,
     waxman_fixed_point,
+    waxman_step,
 )
 from boundstates import waxman
 from boundstates.waxman import _KernelScan
@@ -62,12 +63,12 @@ class TestApplyKernel:
         # float range, so the scan anchors its weights per block, while each
         # dense row weights exp(-s |x_i - x_j|) from its own node.  At eps 3e7,
         # 1e8 and 1e12, s * h passes 300 and 600: each block holds two nodes
-        # or one.  In the full sector even input also takes the half-axis
-        # scan, as a solve on an even well does.
+        # or one.  Even input also takes the half-axis scan in the full
+        # sector, as a solve on an even well does.
         g = make_grid(8.0, 201)
         V = sample_potential(PotentialSpec.gaussian(), g)
-        x, mid = g.points, g.mid_index
-        xh = x if sector == "full" else x[mid:]
+        x = g.points
+        xh = x if sector == "full" else x[g.mid_index :]
         wts = np.full(xh.size, g.spacing)
         wts[0] = wts[-1] = 0.5 * g.spacing
         for eps in (0.7, 1e4, 4e4, 3e7, 1e8, 1e12):
@@ -81,14 +82,8 @@ class TestApplyKernel:
                 K -= G(x[:, None] + xh[None, :])
             u = rng.normal(size=g.n_points)
             kernel = GreensKernel(eps, sector)
-            images = [(u, apply_kernel(kernel, V, SampledFunction(g, u)))]
-            if sector == "full":
-                u_even = u + u[::-1]
-                scan = _KernelScan(g, eps, sector, even=True)
-                w = V.values * u_even
-                scan.apply(w[mid:], out=w[mid:])
-                images.append((u_even, SampledFunction(g, scan.mirror(w))))
-            for u_in, image in images:
+            for u_in in (u, u + u[::-1]):
+                image = apply_kernel(kernel, V, SampledFunction(g, u_in))
                 dense = K @ (wts * (V.values * u_in)[-xh.size :])
                 tol = 1e-13 * min(1.0, np.abs(dense).max())
                 np.testing.assert_allclose(image.values, dense, rtol=0, atol=tol)
@@ -329,16 +324,16 @@ class TestBufferedScan:
                 assert scan.grow.max() <= math.exp(600.0)
 
     @pytest.mark.parametrize(
-        "sector,solve_arrays,apply_arrays", [("full", 4.2, 4.2), ("odd", 4.2, 3.2)]
+        "sector,solve_arrays,apply_arrays", [("full", 4.2, 3.2), ("odd", 4.2, 3.2)]
     )
     def test_scan_holds_few_arrays(self, sector, solve_arrays, apply_arrays):
         # On an even well a solve of either sector holds u, w, grow, decay and
         # the two running integrals on the half-axis, then the unfolded u;
-        # apply_kernel holds V*u and the scan's arrays (whole-line in the full
-        # sector, where grow read backwards is decay).  Counted in n-sized
-        # float arrays; numpy reports them to tracemalloc.  At eps 3000
-        # (s * half_width = 657) the weights are anchored per block, which
-        # costs work arrays while the scan is built, not per apply.
+        # apply_kernel on even V and u holds V*u and the same four half-axis
+        # scan arrays in both sectors (3.13; the whole-line scan holds 4.13).
+        # Counted in n-sized float arrays; numpy reports them to tracemalloc.
+        # At eps 3000 (s * half_width = 657) the weights are anchored per
+        # block, which costs work arrays while the scan is built, not per apply.
         n = 50001
         g = make_grid(12.0, n)
         V = sample_potential(PotentialSpec.gaussian(), g)
@@ -357,3 +352,93 @@ class TestBufferedScan:
                     tracemalloc.stop()
             assert peaks[0] <= solve_arrays
             assert peaks[1] <= apply_arrays
+
+
+def _record_starts(monkeypatch):
+    """The ``start`` of every scan built from here on: 0 on the whole line."""
+    starts = []
+
+    class Recording(_KernelScan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            starts.append(self.start)
+
+    monkeypatch.setattr(waxman, "_KernelScan", Recording)
+    return starts
+
+
+class TestFoldRule:
+    """``_scan`` folds a full-sector scan onto x >= 0 exactly when every factor
+    of the integrand is exactly even, and the fold keeps every whole-line bit."""
+
+    @pytest.mark.parametrize(
+        "half_width,n_points", [(12.0, 161), (12.0, 2401), (12.0, 50001), (60.0, 12001)]
+    )
+    @pytest.mark.parametrize("well", ["gaussian", "poschl_teller"])
+    def test_even_input_folds_to_the_whole_line_bits(
+        self, well, half_width, n_points, monkeypatch, rng
+    ):
+        # 2 wells x 4 grids x 6 energies x (apply, step): 96 cases, one-block
+        # and blocked (s * half_width > 600 at eps 3000, and 170 on the wide
+        # box).  The reference is a whole-line scan, forced, on the same input.
+        g = make_grid(half_width, n_points)
+        V = sample_potential(PotentialSpec(well), g)
+        r = rng.random(n_points)
+        u = SampledFunction(g, r + r[::-1])
+        energies = (1e-3, 0.1, 1.0, 10.0, 170.0, 3000.0)
+        starts = _record_starts(monkeypatch)
+        for eps in energies:
+            whole = _KernelScan(g, eps, "full")
+            assert whole.start == 0
+            expected = V.values * u.values
+            whole.apply(expected, out=expected)
+            out = apply_kernel(GreensKernel(eps), V, u).values
+            assert out.tobytes() == expected.tobytes(), f"apply, eps={eps:g}"
+            expected = V.values * u.values
+            whole.step(expected, g.mid_index, expected)
+            out = waxman_step(GreensKernel(eps), V, u).values
+            assert out.tobytes() == expected.tobytes(), f"step, eps={eps:g}"
+        assert starts == [g.mid_index] * 2 * len(energies)
+
+    def test_uneven_factor_runs_the_whole_line(self, monkeypatch, rng):
+        # One uneven factor, even by a single ulp, keeps the whole line; with
+        # no factors, ``_scan`` runs it too.  The odd sector always folds.
+        g = make_grid(12.0, 2401)
+        r = rng.random(g.n_points)
+        even = r + r[::-1]
+        off = even.copy()
+        off[0] = np.nextafter(off[0], 2.0)
+        V_even = sample_potential(PotentialSpec.gaussian(), g)
+        V_uneven = SampledFunction(g, np.exp(-0.5 * (g.points - 0.3) ** 2))
+        cases = [(V_even, off), (V_uneven, even), (V_uneven, r)]
+        starts = _record_starts(monkeypatch)
+        for V, u in cases:
+            for entry in (apply_kernel, waxman_step):
+                entry(GreensKernel(0.5), V, SampledFunction(g, u))
+        with waxman._scan(g, 0.5, "full"):
+            pass
+        assert starts == [0] * (2 * len(cases) + 1)
+        apply_kernel(GreensKernel(0.5, "odd"), V_uneven, SampledFunction(g, r))
+        assert starts[-1] == g.mid_index
+
+    @pytest.mark.parametrize("n_points", [161, 2401])
+    def test_translation_maps_a_whole_line_solve(self, n_points, monkeypatch):
+        # The kernel exp(-s |x - x'|) is translation covariant, and V * u is
+        # negligible near the box edge, so a well shifted by j nodes binds at
+        # the centred well's coupling.  The shifted well is uneven and runs
+        # the whole line; the centred one folds: two scan paths, one answer.
+        g = make_grid(12.0, n_points)
+        x, h = g.points, g.spacing
+        centred = SampledFunction(g, np.exp(-(x**2)))
+        starts = _record_starts(monkeypatch)
+        for eps in (0.1, 0.4774, 1.0, 4.0):
+            cfg = WaxmanConfig(eps, tol=1e-13)
+            base = waxman_fixed_point(cfg, centred)
+            for shift in (h, 0.3, 1.0, 3.0):
+                j = round(shift / h)
+                shifted = SampledFunction(g, np.exp(-((x - j * h) ** 2)))
+                res = waxman_fixed_point(cfg, shifted)
+                assert res.converged
+                assert abs(res.lam - base.lam) <= 1e-13 * base.lam, (eps, j)
+            assert base.converged
+        assert starts == [g.mid_index, 0, 0, 0, 0] * 4

@@ -180,6 +180,29 @@ class TestFixedPoint:
         assert v[fine_grid.mid_index] == 0.0
         assert v[fine_grid.mid_index + round(1.0 / fine_grid.spacing)] == 1.0
 
+    @pytest.mark.parametrize("center", [0.7, -0.7])
+    def test_odd_sector_solves_the_half_line_dirichlet_problem(self, fine_grid, center):
+        # The odd kernel G(x - x') - G(x + x') is the Green's function of
+        # -d^2/dx^2 + eps on x >= 0 with u(0) = 0, so on an uneven well the
+        # odd sector solves that problem for V on x >= 0: V and its even
+        # extension from x >= 0 solve bit for bit alike there, while the full
+        # sector sees the whole line.  Mirror-image wells bind apart (1.7668
+        # against 18.185), though their full-sector couplings are equal.
+        x = fine_grid.points
+        V = SampledFunction(fine_grid, np.exp(-((x - center) ** 2)))
+        extended = SampledFunction(fine_grid, np.exp(-((np.abs(x) - center) ** 2)))
+        odd, odd_ext = (
+            waxman_fixed_point(WaxmanConfig(0.2, sector="odd"), W) for W in (V, extended)
+        )
+        assert odd.converged
+        assert (odd_ext.lam, odd_ext.iterations) == (odd.lam, odd.iterations)
+        assert odd_ext.u.values.tobytes() == odd.u.values.tobytes()
+        expected = 1.766776506098 if center > 0 else 18.184568294802
+        assert odd.lam == pytest.approx(expected, rel=1e-11)
+        full, full_ext = (waxman_fixed_point(WaxmanConfig(0.2), W) for W in (V, extended))
+        assert full.lam == pytest.approx(0.689187681605, rel=1e-11)
+        assert abs(full_ext.lam - full.lam) > 0.2 * full.lam
+
     @pytest.mark.parametrize("half_width", [0.5, 1.7, 12.0, 400.0])
     @pytest.mark.parametrize("sector", ["full", "odd"])
     def test_step_and_solve_share_the_reference_node(self, sector, half_width):
