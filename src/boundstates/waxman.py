@@ -27,7 +27,7 @@ from .lanczos import Hamiltonian, hamiltonian_apply
 
 SECTORS = ("full", "odd")
 
-# Below this magnitude the normalization integral is treated as zero.
+# At or below this share of an image's largest magnitude, a divisor counts as 0.
 _DENOMINATOR_FLOOR = 1e-14
 # Tail points (the ones nearest zero) in the threshold's square-root fit.
 _FIT_POINTS = 4
@@ -137,15 +137,15 @@ class _KernelScan:
     def step(self, f: np.ndarray, idx: int, out: np.ndarray) -> float:
         """Kernel image of ``f`` in ``out`` (may be f), over its value at grid node idx.
 
-        Returns the divisor.  A divisor below 1e-14 of the image's scale
-        (taken as at least 1) means the map vanishes at the reference node:
-        no admissible coupling exists at this energy, or u has no component
-        along the sector's dominant mode.  Only ``out`` is written.
+        Returns the divisor.  One at most 1e-14 of the image's largest magnitude
+        (or an all-zero image) means the map vanishes at the reference node: no
+        admissible coupling exists at this energy, or u has no component along
+        the sector's dominant mode.  Only ``out`` is written.
         """
         self.apply(f, out=out)
         denom = out[idx - self.start]
-        scale = max(np.maximum.reduce(out), -np.minimum.reduce(out), 1.0)
-        if abs(denom) < _DENOMINATOR_FLOOR * scale:
+        scale = max(np.maximum.reduce(out), -np.minimum.reduce(out))
+        if abs(denom) <= _DENOMINATOR_FLOOR * scale:
             raise NoBoundStateError(
                 f"no admissible coupling at epsilon={self.epsilon:g} "
                 f"({self.sector} sector): kernel integral {denom:.3e} at the "
@@ -305,7 +305,12 @@ def _epsilon_array(
 
 @dataclass
 class LambdaEpsilonCurve:
-    """Sampled coupling-versus-energy relation, strictly increasing in epsilon."""
+    """Sampled coupling-versus-energy relation, strictly increasing in epsilon.
+
+    Each kernel entry falls as epsilon grows, so for V >= 0 so does the Perron
+    root 1/lambda of S K S (Birman 1961, Schwinger 1961): lambda strictly
+    increases with epsilon, and the curve refuses lambdas that do not.
+    """
 
     epsilons: np.ndarray
     lambdas: np.ndarray
@@ -314,8 +319,11 @@ class LambdaEpsilonCurve:
     def __post_init__(self):
         eps = _epsilon_array(self.epsilons)
         lam = np.asarray(self.lambdas, dtype=float)
-        if lam.shape != eps.shape or not np.all(np.isfinite(lam) & (lam > 0)):
-            raise ValueError("curve needs one positive, finite lambda per epsilon")
+        ok = lam.shape == eps.shape and np.all(np.isfinite(lam) & (lam > 0))
+        if not ok or np.any(np.diff(lam) <= 0):  # ok first: inf - inf warns
+            raise ValueError(
+                "curve lambdas: one per epsilon, positive, finite, strictly increasing"
+            )
         _check_sector(self.sector)
         self.epsilons = eps
         self.lambdas = lam
@@ -356,70 +364,63 @@ def sweep_results(
 def curve_from_results(
     points: Iterable[SweepPoint], sector: str = "full"
 ) -> LambdaEpsilonCurve:
-    """Assemble the curve from converged sweep points; failures become gaps."""
+    """Assemble the curve from converged sweep points; failures become gaps.
+    Points that make no curve (lambdas out of order) raise ``SolverError``."""
+    _check_sector(sector)  # a bad sector is the caller's error, not the sweep's
     kept = [(p.epsilon, p.result.lam) for p in points if p.converged]
     if not kept:
         raise SolverError("no epsilon in the sweep produced a converged bound state")
     eps, lams = zip(*kept)
-    return LambdaEpsilonCurve(np.array(eps), np.array(lams), sector)
+    try:
+        return LambdaEpsilonCurve(np.array(eps), np.array(lams), sector)
+    except ValueError as exc:
+        raise SolverError(f"converged sweep points make no curve: {exc}") from exc
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson monotone slopes at the samples, as scipy's PCHIP takes them.
-
-    Inside, the weighted harmonic mean of the neighbouring secants (0 unless
-    they share a sign); at each end, Moler's one-sided three-point rule.
-    """
+    """Fritsch-Carlson slopes at the samples, as scipy's PCHIP takes them on
+    increasing data: inside, the weighted harmonic mean of the neighbouring
+    secants; at each end, Moler's one-sided three-point rule, or 0 if not > 0."""
     h, m = np.diff(x), np.diff(y) / np.diff(x)
     if m.size == 1:
         return np.full(2, m[0])
     d = np.zeros_like(y)
-    ok = np.sign(m[:-1]) * np.sign(m[1:]) > 0
-    w1, w2 = (2 * h[1:] + h[:-1])[ok], (h[1:] + 2 * h[:-1])[ok]
-    d[1:-1][ok] = 1.0 / ((w1 / m[:-1][ok] + w2 / m[1:][ok]) / (w1 + w2))
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
     for i, j in ((0, 1), (-1, -2)):
         e = ((2 * h[i] + h[j]) * m[i] - h[i] * m[j]) / (h[i] + h[j])
-        flip = np.sign(e) != np.sign(m[i])
-        clamp = np.sign(m[i]) != np.sign(m[j]) and abs(e) > 3.0 * abs(m[i])
-        d[i] = 0.0 if flip else 3.0 * m[i] if clamp else e
+        d[i] = e if e > 0 else 0.0
     return d
 
 
 def invert_curve(curve: LambdaEpsilonCurve, lambda_target: float) -> float:
     """Binding energy at which the interpolated curve reaches ``lambda_target``.
 
-    Uses a monotone piecewise-cubic interpolant (no overshoot between
-    samples) and the Illinois method inside the bracketing interval.
+    The curve's lambdas strictly increase, so one lookup finds the interval
+    holding the target; inside it, the Illinois method solves a monotone
+    piecewise-cubic interpolant (no overshoot between samples).
     """
     check_positive("lambda_target", lambda_target)
-    eps = curve.epsilons
-    lam = curve.lambdas
-    exact = np.nonzero(lam == lambda_target)[0]
-    if exact.size:
-        return float(eps[exact[0]])
-    if lambda_target < lam.min() or lambda_target > lam.max():
+    eps, lam = curve.epsilons, curve.lambdas
+    if not lam[0] <= lambda_target <= lam[-1]:
         raise NoBoundStateError(
             f"no bound state at lambda={lambda_target:g} in the {curve.sector} "
-            f"sector (curve spans lambda in [{lam.min():g}, {lam.max():g}])"
+            f"sector (curve spans lambda in [{lam[0]:g}, {lam[-1]:g}])"
         )
+    j = int(np.searchsorted(lam, lambda_target))  # lam[j - 1] < target <= lam[j]
+    if lam[j] == lambda_target:
+        return float(eps[j])
     knots = np.column_stack([eps, lam, _pchip_slopes(eps, lam)])
-    resid = lam - lambda_target
-    for j in range(len(eps) - 1):
-        if resid[j] * resid[j + 1] < 0:
-            (x0, y0, d0), (x1, y1, d1) = knots[j : j + 2].tolist()
-            h, m = x1 - x0, (y1 - y0) / (x1 - x0)
-            t = (d0 + d1 - 2 * m) / h
-            c1, c0 = (m - d0) / h - t, t / h
+    (x0, y0, d0), (x1, y1, d1) = knots[j - 1 : j + 1].tolist()
+    h, m = x1 - x0, (y1 - y0) / (x1 - x0)
+    t = (d0 + d1 - 2 * m) / h
+    c1, c0 = (m - d0) / h - t, t / h
 
-            def cubic(e):  # summed in scipy's PPoly order: equal to it bit for bit
-                s = e - x0
-                return y0 + d0 * s + c1 * (s * s) + c0 * (s * s * s) - lambda_target
+    def cubic(e):  # summed in scipy's PPoly order: equal to it bit for bit
+        s = e - x0
+        return y0 + d0 * s + c1 * (s * s) + c0 * (s * s * s) - lambda_target
 
-            return float(find_root(cubic, x0, x1, 1e-13))
-    raise NoBoundStateError(
-        f"no bracketing interval for lambda={lambda_target:g} "
-        f"in the {curve.sector} sector"
-    )
+    return float(find_root(cubic, x0, x1, 1e-13))
 
 
 def threshold_lambda(
@@ -433,7 +434,8 @@ def threshold_lambda(
     Evaluates lambda(epsilon) along a tail of energies decreasing toward
     zero and extrapolates with the square-root law lambda = lambda* +
     c*sqrt(epsilon) that governs the odd-sector approach to threshold.
-    ``SolverError`` names the first tail point that did not converge.
+    ``SolverError`` names the first tail point that did not converge; it is
+    raised, too, when the couplings do not fall toward the limit.
     """
     if sector != "odd":
         raise ValueError(
@@ -444,19 +446,14 @@ def threshold_lambda(
     if tail.size < 3:
         raise ValueError("epsilon_tail needs at least 3 points for the fit")
 
-    points = sweep_results(tail[::-1], V, sector, **config)[::-1]
-    failed = next((p for p in points if not p.converged), None)
+    points = sweep_results(tail[::-1], V, sector, **config)
+    failed = next((p for p in points[::-1] if not p.converged), None)
     if failed is not None:
         raise SolverError(
             f"threshold tail point epsilon={failed.epsilon:g}: "
             f"{failed.error or 'did not converge'}"
         )
-    lams = np.array([p.result.lam for p in points])
-    if np.any(np.diff(lams) >= 0):
-        raise SolverError(
-            "threshold tail not settling: lambda values are not strictly "
-            "decreasing toward the limit"
-        )
+    lams = curve_from_results(points, sector).lambdas[::-1]  # in tail order
     k = min(_FIT_POINTS, tail.size)
     slope, intercept = np.polyfit(np.sqrt(tail[-k:]), lams[-k:], 1)
     return float(intercept)

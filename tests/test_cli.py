@@ -95,6 +95,12 @@ class TestParseConfig:
         )
         assert re.search(r"line 2.*epsilon", err)
 
+    def test_empty_list_value_names_the_key(self, capsys, tmp_path):
+        err = self._error(
+            "sweep", "potential=gaussian\nepsilons = ,\n", tmp_path, capsys
+        )
+        assert re.search(r"line 2: malformed value for 'epsilons'.*empty list", err)
+
     def test_empty_file_lists_required_keys(self, capsys, tmp_path):
         assert "potential" in self._error("solve-waxman", "", tmp_path, capsys)
 
@@ -450,6 +456,29 @@ class TestExitCodes:
         assert header[0] == "# potential=gaussian\n"
         assert "".join(lines[len(header) :]) == report
         assert captured.err == f"error: {error}\n"
+
+    def test_out_of_order_couplings_are_2(self, capsys, monkeypatch):
+        # lambda(eps) strictly increases: a sweep whose converged couplings
+        # do not (here reversed) makes no curve, a numerical failure.
+        sweep = waxman.sweep_results
+
+        def reversed_lambdas(*args, **config):
+            points = sweep(*args, **config)
+            lams = [p.result.lam for p in points][::-1]
+            return [
+                dataclasses.replace(p, result=dataclasses.replace(p.result, lam=lam))
+                for p, lam in zip(points, lams)
+            ]
+
+        monkeypatch.setattr(waxman, "sweep_results", reversed_lambdas)
+        argv = ["--potential", "gaussian", "--n-points", "161", "--epsilons", "0.3,0.5"]
+        assert main(["invert", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: converged sweep points make no curve: curve lambdas: "
+            "one per epsilon, positive, finite, strictly increasing\n"
+        )
 
     def test_kernel_overflow_is_2(self, capsys, recwarn, tmp_path):
         # On a flat 1e300 table well, grow*V*u = 1e300 * exp(2 * 12) passes the
@@ -955,16 +984,19 @@ def test_reproduce_paper_output_is_pinned_on_one_blas_thread(tmp_path):
     assert digests == REPRODUCE_PAPER_CSV_SHA256
 
 
-def test_reproduce_paper_solves_each_energy_once(tmp_path, monkeypatch):
-    # 37 full-sweep, 23 odd-sweep and 10 threshold-tail energies: the
-    # residual row checks the full sweep's states instead of solving again.
-    epsilons = []
+def test_reproduce_paper_solves_69_energies_and_one_twice(tmp_path, monkeypatch):
+    # 37 full-sweep, 23 odd-sweep and 10 threshold-tail solves: 70 solves of
+    # 69 (sector, epsilon) pairs, as the odd sweep and the threshold tail both
+    # solve odd epsilon = 0.01.  The residual row checks the full sweep's
+    # states instead of solving again.
+    solves = []
     solve = waxman.waxman_fixed_point
 
     def counted(cfg, V):
-        epsilons.append(cfg.epsilon)
+        solves.append((cfg.sector, cfg.epsilon))
         return solve(cfg, V)
 
     monkeypatch.setattr(waxman, "waxman_fixed_point", counted)
     run_reproduce_paper(tmp_path, io.StringIO())
-    assert len(epsilons) == 70
+    assert len(solves) == 70 and len(set(solves)) == 69
+    assert [pair for pair in set(solves) if solves.count(pair) > 1] == [("odd", 0.01)]

@@ -129,3 +129,21 @@ def test_the_fold_rule_is_stated_once():
         if any(ast.unparse(arg).endswith("[::-1]") for arg in call.args)
     ]
     assert evenness == [("waxman", "_scan")]
+
+
+def test_the_order_rules_are_stated_once():
+    # lambda(eps) strictly increases: ``LambdaEpsilonCurve`` alone tests the
+    # couplings' order, as ``_epsilon_array`` alone tests the energies'.  An
+    # order test compares a ``diff``; the PCHIP slopes only divide by one.
+    order_tests = [
+        (path.stem, getattr(top, "name", None), ast.unparse(call.args[0]))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for compare in ast.walk(top)
+        if isinstance(compare, ast.Compare)
+        for call in _calls(compare, "diff")
+    ]
+    assert order_tests == [
+        ("waxman", "_epsilon_array", "eps"),
+        ("waxman", "LambdaEpsilonCurve", "lam"),
+    ]

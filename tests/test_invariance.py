@@ -15,6 +15,11 @@ carries a shooting solve (a, half_width and step doubled, lam quartered) and
 the grid Hamiltonian (H -> H/4), but not exactly: shooting starts its bracket
 at a fixed energy and stops at an absolute tolerance, and the Lanczos start
 vector /sqrt(2) rounds.
+
+The well's depth scales too: V -> 2^k V scales every float of a scan by 2^k
+and each step's divisor with it, so lambda -> 2^-k lambda with the same
+iterates, and the curve, its inversion and the threshold fit follow, bit for
+bit, for any k whose floats stay normal (k = +-600 on the Gaussian sweep).
 """
 
 import math
@@ -22,6 +27,7 @@ import math
 import numpy as np
 import pytest
 
+from boundstates import cli
 from boundstates import (
     GreensKernel,
     Hamiltonian,
@@ -30,11 +36,15 @@ from boundstates import (
     ShootingConfig,
     WaxmanConfig,
     apply_kernel,
+    curve_from_results,
     hamiltonian_apply,
+    invert_curve,
     lanczos_run,
     make_grid,
     shooting_eigenvalue,
     start_vector,
+    sweep_results,
+    threshold_lambda,
     waxman_fixed_point,
 )
 
@@ -126,6 +136,32 @@ def test_scaling_maps_a_kernel_image_exactly(epsilon, sector, rng):
         kernel = GreensKernel(eps, sector)
         images.append(apply_kernel(kernel, SampledFunction(g, values), SampledFunction(g, u)))
     assert images[1].values.tobytes() == (4.0 * images[0].values).tobytes()
+
+
+@pytest.fixture(scope="module")
+def unit_sweep(gaussian_fine):
+    return sweep_results(cli.FULL_SWEEP_EPSILONS, gaussian_fine)
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_depth_scaling_maps_a_sweep_exactly(k, gaussian_fine, unit_sweep):
+    # Only a divisor judged against the image's own size lets 2^-600 V bind,
+    # and only an interval found by order, not by a product of residuals
+    # that underflows, lets the 2^600 V curve invert.
+    scaled = SampledFunction(gaussian_fine.grid, 2.0**k * gaussian_fine.values)
+    points = sweep_results(cli.FULL_SWEEP_EPSILONS, scaled)
+    for p, q in zip(unit_sweep, points, strict=True):
+        assert q.converged
+        assert q.result.lam == 2.0**-k * p.result.lam
+        assert (q.result.iterations, q.result.residual) == (
+            p.result.iterations, p.result.residual
+        )
+        assert q.result.u.values.tobytes() == p.result.u.values.tobytes()
+    eps = invert_curve(curve_from_results(points), 2.0**-k)
+    assert eps == invert_curve(curve_from_results(unit_sweep), 1.0)
+    assert eps == 0.47739419373787056
+    lam_star = threshold_lambda(scaled, "odd", cli.THRESHOLD_TAIL)
+    assert lam_star * 2.0**k == 1.3419331985434635
 
 
 @pytest.mark.parametrize("lam,parity", [(1.0, "even"), (2.0, "even"), (10.0, "odd")])

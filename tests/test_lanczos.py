@@ -284,6 +284,10 @@ class TestTridiagonalEigen:
         with pytest.raises(ValueError):
             tridiagonal_eigen([1.0, 2.0], [0.5, 0.5])
 
+    def test_empty_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="diagonal must be a nonempty 1D sequence"):
+            tridiagonal_eigen([], [])
+
     @pytest.mark.parametrize(
         "n, m", [(COMPARISON_N, 18), (2401, 100)], ids=["reproduce-paper", "n2401-m100"]
     )
@@ -628,6 +632,10 @@ class TestDeltaCheck:
 
 
 class TestClassifyPairs:
+    def test_empty_history_rejected(self):
+        with pytest.raises(ValueError, match="at least one iteration of history"):
+            classify_pairs([])
+
     def test_comparison_run_labels(self):
         g = make_grid(12.0, COMPARISON_N)
         H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)

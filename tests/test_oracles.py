@@ -159,6 +159,10 @@ class TestShootingEigenvalue:
                 ShootingConfig(1.0, "even", half_width=half_width, step=step)
         ShootingConfig(1.0, "even", half_width=2.0**20, step=1.0)
 
+    def test_unknown_parity_rejected(self):
+        with pytest.raises(ValueError, match=r"parity must be one of .*'sideways'"):
+            ShootingConfig(1.0, "sideways")
+
     def test_deep_wide_well_needs_no_overflow(self, recwarn):
         # lam=200 sech^2 on half_width=60: the outward solution grows by about
         # exp(sqrt(186) * 60) = exp(819), past the float range, so this level
@@ -243,6 +247,10 @@ class TestAnalyticLevel:
             analytic_level(PotentialSpec.square_well(1.0), 1.0, 1)
         with pytest.raises(NoBoundStateError):
             analytic_level(PotentialSpec.square_well(1.0), PI2_OVER_4, 1)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="level index must be >= 0, got -1"):
+            analytic_level(PotentialSpec.poschl_teller(), 2.0, -1)
 
     def test_no_closed_form_for_gaussian(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Fixed-point solver: iteration map, sweeps, curve inversion, thresholds."""
 
+import dataclasses
 import io
 import math
 
@@ -63,6 +64,16 @@ class TestLambdaFrom:
         zero = SampledFunction(fine_grid, np.zeros(fine_grid.n_points))
         with pytest.raises(NoBoundStateError):
             waxman_step(GreensKernel(1.0), gaussian_fine, zero)
+
+    @pytest.mark.parametrize("depth", [1e-12, 1e-15, 2.0**-600])
+    def test_weak_well_binds(self, fine_grid, gaussian_fine, depth):
+        # Every positive 1D well binds at some coupling.  The divisor is judged
+        # against the image's own size, so a shallow well's small image is no
+        # vanishing divisor: lambda * depth is the unit-depth coupling.
+        W = SampledFunction(fine_grid, depth * gaussian_fine.values)
+        res = waxman_fixed_point(WaxmanConfig(0.4774), W)
+        assert res.converged and res.iterations == 13
+        assert res.lam * depth == pytest.approx(1.0000085980937476, rel=1e-14, abs=0)
 
 
 class TestWaxmanStep:
@@ -428,13 +439,16 @@ def _scipy_inverse(x, y, target):
     )
 
 
-# Non-uniform, non-monotone samples (lambda > 0 as a curve needs) that take
-# every branch of the slope rules: the left end clamps to 3 m0 (one-sided
-# estimate 4 m0 with m1 = -5 m0), the right end flips sign and is set to 0,
-# one interior knot sits between secants of opposite sign and two next to a
-# zero secant, and the rest take the weighted harmonic mean.
+# Non-uniform, increasing samples that take every branch the slope rules
+# have on increasing data: the left end keeps its one-sided estimate
+# (3 m0 - m1) / 2 = 0.7, the right end's estimate is negative (its secant is
+# 1/30 of the one before) and is set to 0, and the interior knots take the
+# weighted harmonic mean.
 SYNTHETIC_X = np.array([0.5, 1.5, 2.5, 3.0, 4.5, 4.8, 6.0, 7.5])
-SYNTHETIC_Y = np.array([5.0, 6.0, 1.0, 1.0, 4.0, 4.6, 5.8, 5.95])
+SYNTHETIC_Y = np.array([1.0, 1.6, 2.0, 2.1, 4.0, 4.6, 5.8, 5.85])
+# Samples a curve refuses: a secant of each sign and a zero secant (the
+# branches scipy's PCHIP keeps for non-monotone data).
+NON_MONOTONE_Y = np.array([5.0, 6.0, 1.0, 1.0, 4.0, 4.6, 5.8, 5.95])
 
 
 class TestPchipParity:
@@ -462,12 +476,20 @@ class TestPchipParity:
         np.testing.assert_allclose(_pchip_slopes(x, y), reference, rtol=0, atol=1e-13)
 
     def test_synthetic_samples_take_every_branch(self):
-        d = _pchip_slopes(SYNTHETIC_X, SYNTHETIC_Y)
-        m = np.diff(SYNTHETIC_Y) / np.diff(SYNTHETIC_X)
-        assert d[0] == 3.0 * m[0]  # clamped end
-        assert d[-1] == 0.0 and m[-1] > 0  # sign-flipped end
-        assert d[1] == d[2] == d[3] == 0.0  # opposite secants, zero secant
-        assert np.all(d[4:-1] > 0)  # weighted harmonic means
+        h = np.diff(SYNTHETIC_X)
+        d, m = _pchip_slopes(SYNTHETIC_X, SYNTHETIC_Y), np.diff(SYNTHETIC_Y) / h
+        assert d[0] == pytest.approx(0.7, abs=1e-15)  # one-sided end
+        assert d[-1] == 0.0 < m[-1]  # negative estimate, set to 0
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        harmonic = (w1 + w2) / (w1 / m[:-1] + w2 / m[1:])
+        np.testing.assert_allclose(d[1:-1], harmonic, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
+        "y", [NON_MONOTONE_Y, SYNTHETIC_Y[::-1]], ids=["mixed", "falling"]
+    )
+    def test_non_monotone_samples_are_refused(self, y):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            LambdaEpsilonCurve(SYNTHETIC_X, y)
 
     @pytest.mark.parametrize("name", ["full", "odd", "synthetic", "two-point"])
     def test_inverse_matches_scipy(self, samples, name):
@@ -566,6 +588,37 @@ class TestThresholdTail:
         # The 17 digits the threshold command prints at the default tail.
         lam_star = threshold_lambda(gaussian_fine, "odd", cli.THRESHOLD_TAIL)
         assert lam_star == 1.3419331985434635
+
+
+def _hand_built(points, lams):
+    """``points`` with their converged couplings replaced by ``lams``."""
+    return [
+        dataclasses.replace(p, result=dataclasses.replace(p.result, lam=lam))
+        for p, lam in zip(points, lams)
+    ]
+
+
+@pytest.mark.parametrize(
+    "lams", [[1.5, 1.4, 1.3], [1.3, 1.3, 1.4]], ids=["falling", "flat"]
+)
+class TestCouplingOrder:
+    """lambda(eps) strictly increases; a sweep whose couplings do not is a
+    numerical failure wherever a curve is made of it."""
+
+    MESSAGE = "make no curve: curve lambdas: .* strictly increasing"
+
+    def test_curve_from_results_raises(self, lams, gaussian_fine):
+        points = _hand_built(sweep_results([0.1, 0.2, 0.3], gaussian_fine, "odd"), lams)
+        with pytest.raises(SolverError, match=self.MESSAGE):
+            curve_from_results(points, "odd")
+
+    def test_threshold_lambda_raises(self, lams, gaussian_fine, monkeypatch):
+        sweep = waxman.sweep_results
+        monkeypatch.setattr(
+            waxman, "sweep_results", lambda *args: _hand_built(sweep(*args), lams)
+        )
+        with pytest.raises(SolverError, match=self.MESSAGE):
+            threshold_lambda(gaussian_fine, "odd", [0.3, 0.2, 0.1])
 
 
 class TestResidualProperty:
