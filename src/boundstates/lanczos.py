@@ -33,9 +33,9 @@ _BLOCK_ROWS = 16
 # is invariant.
 _BETA_TOL = 1e-12
 # A Ritz history with at least this many grid values across its run (n * m)
-# scores its prefixes on two threads; below it, starting a thread costs more
-# than it saves.
-_THREADED_SIZE = 150_000
+# forms each block's Ritz vectors with one gemm; below it, with one gemv per
+# vector, whose bits the pinned traces hold.
+_GEMM_SIZE = 150_000
 
 
 @dataclass(frozen=True)
@@ -222,60 +222,42 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
     have computed, so the history can be sliced out of one full run.  It
     holds values and deltas only, so its size does not grow with the grid;
     the Ritz vectors pass through one block of ``_BLOCK_ROWS`` rows.  A
-    history of at least ``_THREADED_SIZE`` grid values scores on two
-    threads, each with half the block's rows; every value and delta keeps
-    its bits, since each row sees the same operations whatever its block.
+    history of at least ``_GEMM_SIZE`` grid values forms a block's vectors
+    with one gemm, a smaller one with one gemv per vector, as a lone vector
+    is formed.  The two differ in the last bits of delta, so a row equals a
+    shorter run's row bit for bit only when both runs lie on the same side
+    of the gate.
     """
     check_same_grid(H.grid, run.grid, "run must live on the Hamiltonian's grid")
     # The run's basis rows and one block each of psi, H psi and H^2 psi serve
-    # every prefix scored.  Block rows are 1 x n, so each product below is a
-    # stack of one BLAS gemv or ddot per Ritz vector, as for a lone vector.
+    # every prefix scored.  Block rows are 1 x n, so the norms and the delta
+    # products are a stack of one ddot per Ritz vector, as for a lone vector.
     h, n, m, Q = H.grid.spacing, H.grid.n_points, run.m, run.Q
-    workers = 1
-    if n * m >= _THREADED_SIZE:
-        import os
-
-        workers = min(2, os.cpu_count() or 1, m)
-    # The workers split the rows of the blocks, so they hold three in all.
-    rows = min(_BLOCK_ROWS // workers, m)
-    blocks = np.empty((workers, 3, rows, 1, n))
-    history: list[list[RitzPair]] = [[] for _ in range(m)]
-
-    def score(worker: int) -> None:
-        # A prefix costs about k^2, so taking every workers-th one balances
-        # the load; each fills its own slot, so the order is that of k.
-        psi, hpsi, hhpsi = blocks[worker]
-        for k in range(worker + 1, m + 1, workers):
-            values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
-            # C-contiguous rows: a strided view of the columns, or one gemm
-            # over the block, moves the last bits of delta.
-            Z = np.ascontiguousarray(vectors.T)[:, None, :]
-            pairs = history[k - 1]
-            for start in range(0, k, rows):
-                v = values[start : start + rows]
-                p, hp, hhp = psi[: v.size], hpsi[: v.size], hhpsi[: v.size]
-                np.matmul(Z[start : start + rows], Q[:k], out=p)
-                p /= np.sqrt(h * (p @ p.transpose(0, 2, 1)))
-                # H psi is the second apply's input and its scratch: it is
-                # not read again.
-                _apply_values(H, p, hp, hhp)
-                _apply_values(H, hp, hhp, hp)
-                deltas = np.abs(v * v - h * (p @ hhp.transpose(0, 2, 1)).ravel())
-                pairs += map(RitzPair, v.tolist(), deltas.tolist())
-
-    if workers == 1:
-        score(0)
-    else:
-        import contextvars
-        from concurrent.futures import ThreadPoolExecutor
-
-        # The second worker runs in a copy of the caller's context, so numpy's
-        # errstate holds there too.  Leaving the pool joins it even if
-        # score(0) raises, and result() raises its exception again here.
-        with ThreadPoolExecutor(1) as pool:
-            second = pool.submit(contextvars.copy_context().run, score, 1)
-            score(0)
-        second.result()
+    gemm = n * m >= _GEMM_SIZE
+    rows = min(_BLOCK_ROWS, m)
+    psi, hpsi, hhpsi = np.empty((3, rows, 1, n))
+    history = []
+    for k in range(1, m + 1):
+        values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
+        # C-contiguous rows: a strided view of the columns moves the last
+        # bits of delta.
+        Z = np.ascontiguousarray(vectors.T)
+        pairs = []
+        for start in range(0, k, rows):
+            v, z = values[start : start + rows], Z[start : start + rows]
+            p, hp, hhp = psi[: v.size], hpsi[: v.size], hhpsi[: v.size]
+            if gemm:
+                np.matmul(z, Q[:k], out=p[:, 0])
+            else:
+                np.matmul(z[:, None, :], Q[:k], out=p)
+            p /= np.sqrt(h * (p @ p.transpose(0, 2, 1)))
+            # H psi is the second apply's input and its scratch: it is not
+            # read again.
+            _apply_values(H, p, hp, hhp)
+            _apply_values(H, hp, hhp, hp)
+            deltas = np.abs(v * v - h * (p @ hhp.transpose(0, 2, 1)).ravel())
+            pairs += map(RitzPair, v.tolist(), deltas.tolist())
+        history.append(pairs)
     return history
 
 

@@ -3,7 +3,8 @@
 The shooting oracle checks the other two routes, so it must reach neither;
 the Lanczos route must not reach the fixed point or the oracle it is
 compared against.  ``waxman`` may use ``lanczos``'s grid Hamiltonian.  Every
-public name has a reader besides its own definition and the export.
+public name has a reader besides its own definition and the export.  No
+module starts a thread: every command runs on its caller's.
 """
 
 import ast
@@ -71,6 +72,26 @@ def test_route_reaches_no_other_route(module, forbidden):
 def test_no_import_cycle():
     cyclic = sorted(m for m in GRAPH if m in _reach(m))
     assert cyclic == []
+
+
+def _absolute_imports(path: Path):
+    """Modules that ``path`` imports by absolute name, in any body."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_thread_machinery():
+    machinery = {"threading", "concurrent", "contextvars"}
+    found = sorted(
+        (path.name, name)
+        for path in (ROOT / "src").rglob("*.py")
+        for name in _absolute_imports(path)
+        if name.split(".")[0] in machinery
+    )
+    assert found == []
 
 
 def _package_reads(path: Path) -> set[str]:

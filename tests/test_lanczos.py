@@ -1,11 +1,11 @@
 """Lanczos recursion, Ritz extraction, and the spuriousness gauge."""
 
 import io
-import math
 import os
+import subprocess
 import sys
-import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from boundstates import (
     tridiagonal_eigen,
     write_trace_csv,
 )
-from boundstates.cli import main
 from _jacobi import jacobi_eigenvalues
 
 # Grid for the 18-step comparison runs.  The recursion emulates iteration in
@@ -478,21 +477,18 @@ class TestRitzPairs:
         assert sum(map(len, history)) == 5050
         assert peak < 8e6
 
-    @pytest.mark.parametrize("n", [2401, 4801], ids=["one-worker", "two-workers"])
+    @pytest.mark.parametrize("n", [2401, 4801], ids=["below-gate", "above-gate"])
     def test_gauge_holds_three_blocks(self, n):
         # The history scores from the run's own basis array, with no copy of
         # it, and holds psi, H psi and H^2 psi in blocks of 16 rows and no
         # fourth scratch block: the second apply uses its own input as
-        # scratch.  lam*V belongs to the Hamiltonian.  Above the thread gate
-        # the two workers split those rows between them; tracemalloc sees
-        # both threads.  A first call loads the thread pool's modules before
-        # the traced one.
+        # scratch.  lam*V belongs to the Hamiltonian.  Above the gemm gate the
+        # block product writes into the psi block as well.
         m = 40
-        assert (n * m >= lanczos._THREADED_SIZE) == (n == 4801)
+        assert (n * m >= lanczos._GEMM_SIZE) == (n == 4801)
         g = make_grid(12.0, n)
         H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
         run = lanczos_run(H, start_vector(g), m)
-        ritz_history(run, H)
         tracemalloc.start()
         try:
             ritz_history(run, H)
@@ -503,111 +499,88 @@ class TestRitzPairs:
         assert blocks < 4.2
 
 
-def _force_workers(monkeypatch, workers):
-    """Score every history on ``workers`` (1 or 2) workers, whatever its size."""
-    monkeypatch.setattr(lanczos, "_THREADED_SIZE", math.inf if workers == 1 else 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+def _gemm_setup(kind, n, m):
+    g = make_grid(12.0, n)
+    H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
+    run = lanczos_run(H, start_vector(g), m)
+    assert run.m == m and g.n_points * m >= lanczos._GEMM_SIZE
+    return H, run
 
 
-def _watch_applies(monkeypatch, watch):
-    """Call ``watch()`` in the scoring thread before each apply of H."""
-    apply_values = lanczos._apply_values
+# Scores a Gaussian (2401, 100) history and prints the SHA-256 of every
+# (value, delta) in order.
+_HISTORY_DIGEST = """
+import hashlib
+import struct
+from boundstates import (
+    Hamiltonian, PotentialSpec, lanczos_run, make_grid, ritz_history,
+    sample_potential, start_vector,
+)
+g = make_grid(12.0, 2401)
+H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+digest = hashlib.sha256()
+for row in ritz_history(lanczos_run(H, start_vector(g), 100), H):
+    for pair in row:
+        digest.update(struct.pack("<2d", pair.value, pair.delta))
+print(digest.hexdigest())
+"""
 
-    def watched(*args):
-        watch()
-        return apply_values(*args)
 
-    monkeypatch.setattr(lanczos, "_apply_values", watched)
-
-
-def _threaded_setup():
-    g, H = _coarse_setup(641)
-    return H, lanczos_run(H, start_vector(g), 50)
-
-
-class TestHistoryWorkers:
+class TestBlockGemm:
     @pytest.mark.parametrize(
         "kind, n, m",
         [
-            ("gaussian", 161, 18),
-            ("gaussian", 641, 50),
+            ("poschl_teller", 2401, 64),
             ("gaussian", 2401, 100),
-            ("poschl_teller", 1201, 55),
+            ("poschl_teller", 4801, 40),
         ],
     )
-    def test_bits_hold_across_worker_counts(self, monkeypatch, kind, n, m):
-        g = make_grid(12.0, n)
-        H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
-        run = lanczos_run(H, start_vector(g), m)
-        scored = []
-        for workers in (1, 2):
-            threads = set()
-            # A short switch interval interleaves the workers finely, so a
-            # shared row or slot would show.
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with monkeypatch.context() as mp:
-                    _force_workers(mp, workers)
-                    _watch_applies(mp, lambda: threads.add(threading.get_ident()))
-                    history = ritz_history(run, H)
-            finally:
-                sys.setswitchinterval(interval)
-            assert len(threads) == workers
-            scored.append([[(p.value, p.delta) for p in row] for row in history])
-        assert scored[0] == scored[1]
+    def test_gauge_equals_delta_check_on_the_block_product(self, kind, n, m):
+        # Above the gate one gemm over a block's 16 coefficient rows forms its
+        # Ritz vectors.  Each delta is still delta_check's on the vector that
+        # product forms, normalized as a lone vector is.  The first case lies
+        # just above the gate: n * m = 153 664.
+        H, run = _gemm_setup(kind, n, m)
+        g = H.grid
+        for k, row in enumerate(ritz_history(run, H), 1):
+            reference = []
+            values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
+            Z = vectors.T.copy()
+            for start in range(0, k, 16):
+                block = Z[start : start + 16] @ run.Q[:k]
+                for value, psi in zip(values[start : start + 16], block):
+                    psi /= np.sqrt(_h_dot(g, psi, psi))
+                    state = SampledFunction(g, psi)
+                    reference.append((value, delta_check(H, state, value)))
+            assert [(p.value, p.delta) for p in row] == reference, f"prefix {k}"
 
-    def test_trace_csv_bytes_hold_across_worker_counts(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        argv = ["solve-lanczos", "--potential", "gaussian", "--n-points", "2401"]
-        traces, reports = [], []
-        for workers in (1, 2):
-            trace = tmp_path / f"trace-{workers}.csv"
-            with monkeypatch.context() as mp:
-                _force_workers(mp, workers)
-                assert main([*argv, "-m", "100", "--output", str(trace)]) == 0
-            traces.append(trace.read_bytes())
-            reports.append(capsys.readouterr().out.replace(str(trace), "TRACE"))
-        assert traces[0] == traces[1]
-        assert reports[0] == reports[1]
+    @pytest.mark.parametrize("kind", ["gaussian", "poschl_teller"])
+    def test_history_rows_equal_shorter_runs_above_the_gate(self, kind):
+        H, run = _gemm_setup(kind, 2401, 100)
+        _, short = _gemm_setup(kind, 2401, 64)
+        rows = [[(p.value, p.delta) for p in row] for row in ritz_history(run, H)]
+        assert rows[:64] == [
+            [(p.value, p.delta) for p in row] for row in ritz_history(short, H)
+        ]
 
-    def test_a_worker_failure_reaches_the_caller(self, monkeypatch):
-        class Failure(Exception):
-            pass
-
-        H, run = _threaded_setup()
-        caller = threading.get_ident()
-
-        def fail_off_the_caller():
-            # Only the second worker runs off the calling thread.
-            if threading.get_ident() != caller:
-                raise Failure
-
-        before = threading.active_count()
-        with monkeypatch.context() as mp:
-            _force_workers(mp, 2)
-            _watch_applies(mp, fail_off_the_caller)
-            with pytest.raises(Failure):
-                ritz_history(run, H)
-        assert threading.active_count() == before
-        _force_workers(monkeypatch, 2)
-        assert len(ritz_history(run, H)) == run.m
-        assert threading.active_count() == before
-
-    def test_every_worker_runs_under_the_callers_errstate(self, monkeypatch):
-        H, run = _threaded_setup()
-        seen = []
-        _force_workers(monkeypatch, 2)
-        _watch_applies(
-            monkeypatch, lambda: seen.append((threading.get_ident(), np.geterr()))
-        )
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            expected = np.geterr()
-            ritz_history(run, H)
-        assert expected != np.geterr()
-        assert len({ident for ident, _ in seen}) == 2
-        assert all(state == expected for _, state in seen)
+    def test_history_bits_hold_across_blas_threads(self):
+        # One interpreter runs OpenBLAS on one thread, the other on its
+        # default count; each forms the block products on the calling thread.
+        src = str(Path(lanczos.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-W", "error", "-c", _HISTORY_DIGEST],
+                capture_output=True,
+                text=True,
+                env={**env, **threads},
+                check=True,
+            ).stdout.strip()
+            for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {})
+        ]
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestDeltaCheck:

@@ -285,18 +285,30 @@ class TestFixedPoint:
 
 
 @pytest.fixture(scope="module")
-def gaussian_curve(gaussian_fine):
-    return curve_from_results(sweep_results(np.linspace(0.1, 1.0, 19), gaussian_fine))
+def gaussian_sweep(gaussian_fine):
+    return sweep_results(np.linspace(0.1, 1.0, 19), gaussian_fine)
+
+
+@pytest.fixture(scope="module")
+def gaussian_curve(gaussian_sweep):
+    return curve_from_results(gaussian_sweep)
+
+
+def _assert_converged_and_rising(points):
+    # Read the raw sweep: a curve refuses couplings that do not rise, so its
+    # own lambdas always would.
+    assert all(p.converged for p in points)
+    assert np.all(np.diff([p.result.lam for p in points]) > 0)
 
 
 class TestSweep:
-    def test_lambda_strictly_increasing(self, gaussian_curve):
-        assert np.all(np.diff(gaussian_curve.lambdas) > 0)
+    def test_lambda_strictly_increasing(self, gaussian_sweep):
+        _assert_converged_and_rising(gaussian_sweep)
 
     def test_lambda_monotone_over_wide_range(self, gaussian_fine):
-        points = sweep_results(np.linspace(0.05, 1.5, 30), gaussian_fine)
-        curve = curve_from_results(points)
-        assert np.all(np.diff(curve.lambdas) > 0)
+        _assert_converged_and_rising(
+            sweep_results(np.linspace(0.05, 1.5, 30), gaussian_fine)
+        )
 
     def test_shooting_spot_checks(self, gaussian_curve):
         for target in (0.2, 0.5, 0.9):
