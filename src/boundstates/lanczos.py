@@ -33,9 +33,9 @@ _BLOCK_ROWS = 16
 # is invariant.
 _BETA_TOL = 1e-12
 # A Ritz history with at least this many grid values across its run (n * m)
-# forms each block's Ritz vectors with one gemm; below it, with one gemv per
-# vector, whose bits the pinned traces hold.
-_GEMM_SIZE = 150_000
+# scores from two m x m Gram matrices of its basis and forms no Ritz vector;
+# below it, each vector is one gemv, whose bits the pinned traces hold.
+_GRAM_SIZE = 150_000
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ def tridiagonal_eigen(
 class RitzPair:
     """Ritz value with its spuriousness score.
 
-    The Ritz vector is formed only to score it with the delta gauge and is
-    not kept: the classification and the trace read the value and delta.
+    The Ritz vector is not kept, and above ``_GRAM_SIZE`` it is never
+    formed: the classification and the trace read the value and delta.
     """
 
     value: float
@@ -219,40 +219,50 @@ def ritz_history(run: LanczosRun, H: Hamiltonian) -> list[list[RitzPair]]:
     """Scored Ritz values after each iteration 1..m of an existing run.
 
     Truncating the recursion reproduces exactly what a shorter run would
-    have computed, so the history can be sliced out of one full run.  It
-    holds values and deltas only, so its size does not grow with the grid;
-    the Ritz vectors pass through one block of ``_BLOCK_ROWS`` rows.  A
-    history of at least ``_GEMM_SIZE`` grid values forms a block's vectors
-    with one gemm, a smaller one with one gemv per vector, as a lone vector
-    is formed.  The two differ in the last bits of delta, so a row equals a
-    shorter run's row bit for bit only when both runs lie on the same side
-    of the gate.
+    have computed, so the history can be sliced out of one full run.  Below
+    ``_GRAM_SIZE`` grid values each Ritz vector z Q is formed with one gemv,
+    as a lone vector is, in blocks of ``_BLOCK_ROWS`` rows.  Above it H meets
+    the basis rows twice, and z scores from the Gram matrices M = h Q Q^T and
+    G = h Q H^2 Q^T: s^2 = z M z, delta = |e^2 - z G z / s^2|.  The deltas
+    differ in the last bits, so a row equals a shorter run's bit for bit
+    only when both runs lie on the same side of the gate.
     """
     check_same_grid(H.grid, run.grid, "run must live on the Hamiltonian's grid")
-    # The run's basis rows and one block each of psi, H psi and H^2 psi serve
-    # every prefix scored.  Block rows are 1 x n, so the norms and the delta
-    # products are a stack of one ddot per Ritz vector, as for a lone vector.
+    # Block rows are 1 x n: the norms and delta products are one ddot per
+    # vector, as for a lone one.  The second apply uses its input as scratch.
     h, n, m, Q = H.grid.spacing, H.grid.n_points, run.m, run.Q
-    gemm = n * m >= _GEMM_SIZE
     rows = min(_BLOCK_ROWS, m)
-    psi, hpsi, hhpsi = np.empty((3, rows, 1, n))
+    gram = n * m >= _GRAM_SIZE
+    hpsi, hhpsi = np.empty((2, rows, 1, n))
+    psi = None if gram else np.empty((rows, 1, n))
+    if gram:
+        # Row i of M and G is one gemv over the rows <= i, copied into column
+        # i, so a shorter run's matrices are leading blocks of these, bit for bit.
+        MG = np.empty((2, m, m))
+        for start in range(0, m, rows):
+            hq, hhq = hpsi[: m - start, 0], hhpsi[: m - start, 0]
+            _apply_values(H, Q[start : start + rows], hq, hhq)
+            _apply_values(H, hq, hhq, hq)
+            for i, hhq_i in enumerate(hhq, start):
+                MG[0, i, : i + 1] = MG[0, : i + 1, i] = h * (Q[: i + 1] @ Q[i])
+                MG[1, i, : i + 1] = MG[1, : i + 1, i] = h * (Q[: i + 1] @ hhq_i)
     history = []
     for k in range(1, m + 1):
         values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
         # C-contiguous rows: a strided view of the columns moves the last
         # bits of delta.
         Z = np.ascontiguousarray(vectors.T)
+        if gram:
+            s2, zgz = (Z @ MG[:, :k, :k] * Z).sum(axis=2)
+            deltas = np.abs(values * values - zgz / s2)
+            history.append(list(map(RitzPair, values.tolist(), deltas.tolist())))
+            continue
         pairs = []
         for start in range(0, k, rows):
             v, z = values[start : start + rows], Z[start : start + rows]
             p, hp, hhp = psi[: v.size], hpsi[: v.size], hhpsi[: v.size]
-            if gemm:
-                np.matmul(z, Q[:k], out=p[:, 0])
-            else:
-                np.matmul(z[:, None, :], Q[:k], out=p)
+            np.matmul(z[:, None, :], Q[:k], out=p)
             p /= np.sqrt(h * (p @ p.transpose(0, 2, 1)))
-            # H psi is the second apply's input and its scratch: it is not
-            # read again.
             _apply_values(H, p, hp, hhp)
             _apply_values(H, hp, hhp, hp)
             deltas = np.abs(v * v - h * (p @ hhp.transpose(0, 2, 1)).ravel())

@@ -83,7 +83,7 @@ def test_reproduce_paper_loads_no_scipy(tmp_path):
 
 
 def test_large_lanczos_history_stays_on_one_thread_and_loads_no_scipy():
-    # n * m = 240100 is above the gemm gate.  The history reads no core count,
-    # so it scores on the calling thread on any host.
+    # n * m = 240100 is above the Gram gate.  The history reads no core count,
+    # so it fills the Gram matrices and scores on the calling thread on any host.
     argv = ("--potential", "gaussian", "--n-points", "2401", "-m", "100")
     assert _probe("solve-lanczos", *argv) == (0, 1, set())

@@ -50,19 +50,20 @@ def _coarse_setup(n=101, lam=1.0):
     return g, Hamiltonian(V, lam)
 
 
-def _dense_matrix(H):
-    g = H.grid
-    h = g.spacing
+def _grid_tridiagonal(H):
+    h = H.grid.spacing
     d = 2.0 / h**2 - H.lam * H.V.values
-    e = np.full(g.n_points - 1, -1.0 / h**2)
+    return d, np.full(H.grid.n_points - 1, -1.0 / h**2)
+
+
+def _dense_matrix(H):
+    d, e = _grid_tridiagonal(H)
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 def _ground_eigvec(H):
     g = H.grid
-    h = g.spacing
-    d = 2.0 / h**2 - H.lam * H.V.values
-    e = np.full(g.n_points - 1, -1.0 / h**2)
+    d, e = _grid_tridiagonal(H)
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     v = vecs[:, 0] / np.sqrt(_h_dot(g, vecs[:, 0], vecs[:, 0]))
     return float(vals[0]), SampledFunction(g, v)
@@ -375,13 +376,16 @@ class TestRitzPairs:
             ("gaussian", COMPARISON_N, 18),
             ("gaussian", 641, 50),
             ("poschl_teller", 641, 50),
+            ("gaussian", 2401, 100),
+            ("poschl_teller", 4801, 40),
         ],
     )
     def test_gauge_equals_paige_residual(self, kind, n, m):
         # With full reorthogonalization H Q_k = Q_k T_k + beta_k q_k+1 e_k^T,
         # so a Ritz pair's ||(H - theta) psi||^2 is (beta_k z_k)^2, z_k the last
         # entry of its eigenvector (Paige, Linear Algebra Appl. 34, 235, 1980),
-        # up to roundoff of order u ||H||^2.
+        # up to roundoff of order u ||H||^2.  The last two cases lie above the
+        # Gram gate, where the history forms no Ritz vector.
         g = make_grid(12.0, n)
         H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
         run = lanczos_run(H, start_vector(g), m)
@@ -430,12 +434,22 @@ class TestRitzPairs:
                 reference.append((value, abs(value * value - _h_dot(g, psi, hh))))
             assert [(p.value, p.delta) for p in row] == reference, f"prefix {k}"
 
-    def test_history_applies_the_stencil_twice_per_block(self, monkeypatch):
-        # 820 pairs at m = 40: scored one by one they would take 1640 applies
-        # of H; in blocks of 16 rows they take 2 per block, 144 in all.
-        g = make_grid(12.0, 641)
+    @pytest.mark.parametrize(
+        "n, m, blocks",
+        [(641, 40, sum(-(-k // 16) for k in range(1, 41))), (2401, 100, 7)],
+        ids=["below-gate", "above-gate"],
+    )
+    def test_history_applies_the_stencil_twice_per_block(
+        self, monkeypatch, n, m, blocks
+    ):
+        # Below the gate, 820 pairs at m = 40 scored one by one would take 1640
+        # applies of H; in blocks of 16 Ritz vectors they take 2 per block, 144
+        # in all.  Above it H meets only the 100 basis rows, in 7 blocks: 14
+        # applies, where one gemm per block of Ritz vectors took 728.
+        g = make_grid(12.0, n)
         H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
-        run = lanczos_run(H, start_vector(g), 40)
+        run = lanczos_run(H, start_vector(g), m)
+        assert (n * m >= lanczos._GRAM_SIZE) == (n == 2401)
         applies = []
         apply_values = lanczos._apply_values
 
@@ -445,8 +459,8 @@ class TestRitzPairs:
 
         monkeypatch.setattr(lanczos, "_apply_values", counted)
         history = ritz_history(run, H)
-        assert sum(map(len, history)) == 820
-        assert len(applies) <= 2 * sum(-(-k // 16) for k in range(1, 41))
+        assert sum(map(len, history)) == m * (m + 1) // 2
+        assert len(applies) == 2 * blocks
 
     @pytest.mark.parametrize("n", [161, 201])
     def test_run_from_another_grid_rejected(self, n):
@@ -477,15 +491,18 @@ class TestRitzPairs:
         assert sum(map(len, history)) == 5050
         assert peak < 8e6
 
-    @pytest.mark.parametrize("n", [2401, 4801], ids=["below-gate", "above-gate"])
-    def test_gauge_holds_three_blocks(self, n):
+    @pytest.mark.parametrize(
+        "n, bound", [(2401, 4.2), (4801, 2.6)], ids=["below-gate", "above-gate"]
+    )
+    def test_gauge_holds_three_blocks(self, n, bound):
         # The history scores from the run's own basis array, with no copy of
-        # it, and holds psi, H psi and H^2 psi in blocks of 16 rows and no
-        # fourth scratch block: the second apply uses its own input as
-        # scratch.  lam*V belongs to the Hamiltonian.  Above the gemm gate the
-        # block product writes into the psi block as well.
+        # it.  Below the gate it holds psi, H psi and H^2 psi in blocks of 16
+        # rows and no fourth scratch block: the second apply uses its own
+        # input as scratch.  lam*V belongs to the Hamiltonian.  Above the gate
+        # the basis rows stand in for psi, so only the two blocks of H q and
+        # H^2 q remain, beside the two m x m Gram matrices.
         m = 40
-        assert (n * m >= lanczos._GEMM_SIZE) == (n == 4801)
+        assert (n * m >= lanczos._GRAM_SIZE) == (n == 4801)
         g = make_grid(12.0, n)
         H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
         run = lanczos_run(H, start_vector(g), m)
@@ -496,14 +513,14 @@ class TestRitzPairs:
         finally:
             tracemalloc.stop()
         blocks = peak / (8 * lanczos._BLOCK_ROWS * n)
-        assert blocks < 4.2
+        assert blocks < bound
 
 
 def _gemm_setup(kind, n, m):
     g = make_grid(12.0, n)
     H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), 1.0)
     run = lanczos_run(H, start_vector(g), m)
-    assert run.m == m and g.n_points * m >= lanczos._GEMM_SIZE
+    assert run.m == m and g.n_points * m >= lanczos._GRAM_SIZE
     return H, run
 
 
@@ -526,7 +543,7 @@ print(digest.hexdigest())
 """
 
 
-class TestBlockGemm:
+class TestGramPath:
     @pytest.mark.parametrize(
         "kind, n, m",
         [
@@ -535,24 +552,36 @@ class TestBlockGemm:
             ("poschl_teller", 4801, 40),
         ],
     )
-    def test_gauge_equals_delta_check_on_the_block_product(self, kind, n, m):
-        # Above the gate one gemm over a block's 16 coefficient rows forms its
-        # Ritz vectors.  Each delta is still delta_check's on the vector that
-        # product forms, normalized as a lone vector is.  The first case lies
-        # just above the gate: n * m = 153 664.
+    def test_gram_scores_match_lone_vectors(self, kind, n, m):
+        # Above the gate no Ritz vector is formed: each pair scores from the
+        # Gram matrices of the basis.  Against every vector formed and gauged
+        # alone, the values keep their bits, each delta lies within roundoff
+        # of order u ||H||^2, and every row's labels read the same.  The first
+        # case lies just above the gate: n * m = 153 664.
         H, run = _gemm_setup(kind, n, m)
         g = H.grid
-        for k, row in enumerate(ritz_history(run, H), 1):
-            reference = []
+        reference = []
+        for k in range(1, m + 1):
             values, vectors = tridiagonal_eigen(run.alphas[:k], run.betas[: k - 1])
-            Z = vectors.T.copy()
-            for start in range(0, k, 16):
-                block = Z[start : start + 16] @ run.Q[:k]
-                for value, psi in zip(values[start : start + 16], block):
-                    psi /= np.sqrt(_h_dot(g, psi, psi))
-                    state = SampledFunction(g, psi)
-                    reference.append((value, delta_check(H, state, value)))
-            assert [(p.value, p.delta) for p in row] == reference, f"prefix {k}"
+            row = []
+            for value, z in zip(values, vectors.T.copy()):
+                psi = z @ run.Q[:k]
+                psi /= np.sqrt(_h_dot(g, psi, psi))
+                delta = delta_check(H, SampledFunction(g, psi), value)
+                row.append(RitzPair(value, delta))
+            reference.append(row)
+        history = ritz_history(run, H)
+        assert [[p.value for p in row] for row in history] == [
+            [p.value for p in row] for row in reference
+        ]
+        norm = 4.0 / g.spacing**2 + np.max(np.abs(H.lam_v))
+        gap = max(
+            abs(p.delta - r.delta)
+            for row, ref in zip(history, reference, strict=True)
+            for p, r in zip(row, ref, strict=True)
+        )
+        assert gap <= 16 * 2.0**-52 * norm**2
+        assert lanczos._label_history(history) == lanczos._label_history(reference)
 
     @pytest.mark.parametrize("kind", ["gaussian", "poschl_teller"])
     def test_history_rows_equal_shorter_runs_above_the_gate(self, kind):
@@ -565,7 +594,8 @@ class TestBlockGemm:
 
     def test_history_bits_hold_across_blas_threads(self):
         # One interpreter runs OpenBLAS on one thread, the other on its
-        # default count; each forms the block products on the calling thread.
+        # default count; each fills the Gram matrices one gemv per row and
+        # scores every prefix on the calling thread.
         src = str(Path(lanczos.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -581,6 +611,78 @@ class TestBlockGemm:
         ]
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
+
+
+class TestEnclosures:
+    # For a unit psi with Rayleigh quotient theta, delta = ||(H - theta) psi||^2,
+    # and [theta - sqrt(delta), theta + sqrt(delta)] holds an eigenvalue of H
+    # (Weinstein, PNAS 20, 529, 1934).  A Ritz value's delta is therefore a
+    # certified radius^2.
+
+    @pytest.mark.parametrize(
+        "kind, lam, n, m",
+        [
+            ("gaussian", 1.0, COMPARISON_N, 18),
+            ("gaussian", 1.0, 2401, 100),
+            ("poschl_teller", 6.0, 2401, 96),
+            ("poschl_teller", 6.0, 641, 50),
+        ],
+    )
+    def test_every_pair_encloses_a_grid_eigenvalue(self, kind, lam, n, m):
+        g = make_grid(12.0, n)
+        H = Hamiltonian(sample_potential(getattr(PotentialSpec, kind)(), g), lam)
+        run = lanczos_run(H, start_vector(g), m)
+        assert run.m == m
+        spectrum = eigh_tridiagonal(*_grid_tridiagonal(H), eigvals_only=True)
+        for k, row in enumerate(ritz_history(run, H), 1):
+            values = np.array([p.value for p in row])
+            nearest = np.min(np.abs(values[:, None] - spectrum), axis=1)
+            assert np.all(nearest <= np.sqrt([p.delta for p in row])), f"prefix {k}"
+
+    def test_coarse_ground_level_lies_in_its_kato_temple_interval(self):
+        # With theta < b <= the second eigenvalue, the lowest one lies in
+        # [theta - delta / (b - theta), theta] (Kato, J. Phys. Soc. Japan 4,
+        # 334, 1949; Temple, Proc. R. Soc. A 119, 276, 1928).  b is the
+        # grid's own second level.
+        g = make_grid(12.0, COMPARISON_N)
+        H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+        history = ritz_history(lanczos_run(H, start_vector(g), 18), H)
+        ground = min(history[-1], key=lambda p: p.value)
+        lowest, b = eigh_tridiagonal(
+            *_grid_tridiagonal(H), eigvals_only=True, select="i", select_range=(0, 1)
+        )
+        assert ground.value < b
+        assert ground.value - ground.delta / (b - ground.value) <= lowest
+        assert lowest <= ground.value
+
+    # theta + sqrt(delta) < 0 proves a negative eigenvalue of H: a bound level.
+    @staticmethod
+    def _ensemble_histories(n):
+        g = make_grid(12.0, n)
+        H = Hamiltonian(sample_potential(PotentialSpec.gaussian(), g), 1.0)
+        return [
+            ritz_history(lanczos_run(H, phi, 18), H)
+            for phi in _ulp_ensemble(start_vector(g))
+        ]
+
+    def test_coarse_ground_pair_certifies_a_bound_level(self):
+        grounds = [
+            min(history[-1], key=lambda p: p.value)
+            for history in self._ensemble_histories(COMPARISON_N)
+        ]
+        assert len(grounds) == 21
+        assert all(p.value + np.sqrt(p.delta) < 0 for p in grounds)
+
+    def test_fine_grid_certifies_no_bound_level(self):
+        # No pair of any prefix of any ensemble member: the paper's contrast.
+        histories = self._ensemble_histories(2401)
+        assert len(histories) == 21
+        assert not any(
+            p.value + np.sqrt(p.delta) < 0
+            for history in histories
+            for row in history
+            for p in row
+        )
 
 
 class TestDeltaCheck:
